@@ -21,7 +21,7 @@ enum class StatusCode {
   kResourceExhausted,
   kDeadlineExceeded,  // wall-clock deadline tripped (ResourceGovernor)
   kCancelled,         // explicit Cancel() — client disconnect, remote abort
-  kUnavailable,       // backend gone (sharded serving: worker process down)
+  kUnavailable,       // backend gone (e.g. a snapshot file cannot be written)
   kInternal,
 };
 

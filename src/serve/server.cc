@@ -249,19 +249,6 @@ Status Server::BatchAddWithId(std::uint64_t id, const std::string& session,
   return Status::OK();
 }
 
-Result<std::uint64_t> Server::BatchAdd(const std::string& session,
-                                       const std::string& query) {
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    while (in_flight_.count(next_id_) != 0) ++next_id_;
-    id = next_id_++;
-  }
-  Status s = BatchAddWithId(id, session, query);
-  if (!s.ok()) return s;
-  return id;
-}
-
 Result<plan::BatchStats> Server::BatchEnd(
     const std::string& session, std::function<void(const EvalOutcome&)> done) {
   PendingBatch batch;
@@ -746,8 +733,7 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
     std::getline(is, query);
     // A fast eval on another lane could emit its result block before this
     // thread emits the submit ack; the gate pins the protocol order
-    // (ack, then block) so clients — and the shard router, whose
-    // byte-identity contract depends on it — never see them swapped.
+    // (ack, then block) so clients never see them swapped.
     auto acked = std::make_shared<std::promise<void>>();
     std::shared_future<void> gate = acked->get_future().share();
     Status s = EvalAsyncWithId(

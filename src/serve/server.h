@@ -31,10 +31,8 @@ namespace bvq::serve {
 std::string FormatRelation(const Relation& rel, std::size_t limit = 20);
 
 /// The protocol `help` response: one chunk whose first line is `ok help`,
-/// followed by one indented usage line per command. Shared between the
-/// single-process Server and the ShardRouter (which answers `help` locally
-/// — a multi-line response must never enter the per-shard control FIFO) so
-/// both emit identical bytes.
+/// followed by one indented usage line per command. This is the protocol
+/// grammar's one listing; docs and tools point here instead of copying it.
 const std::string& ProtocolHelpText();
 
 /// Server-wide configuration.
@@ -72,33 +70,10 @@ struct EvalOutcome {
 /// and a registry of in-flight evaluations for remote cancellation.
 ///
 /// Two surfaces share this object: the library API (Open/EvalSync/
-/// EvalAsync/Cancel/...) used by bvqsh's `session` commands, tests, and the
-/// bench; and the newline-delimited request protocol (HandleLine) spoken by
-/// bvqserve over stdin or TCP:
-///
-///   open <session> [k=N] [threads=N] [memo=0|1] [deadline-ms=N]
-///        [mem-budget-mb=N] [session-deadline-ms=N]
-///        [session-mem-budget-mb=N] [reserve-mb=N] [cache=0|1]
-///        [cache-mb=N]
-///   domain <session> <n>
-///   rel <session> <name>/<arity> <v..> ; <v..> ;
-///   load <session> <path>
-///   eval <id> <session> <query>
-///   batch <session> begin
-///   batch <session> eval <id> <query>   (collected, not yet run)
-///   batch <session> end    (plan shared work, run all; one stats ok-line)
-///   cancel <id>
-///   close <session>
-///   cache <session> save <file>    (snapshot db-resolved entries)
-///   cache <session> restore <file> (prewarm from a snapshot)
-///   cache <session> on|off|clear   (cross-query answer cache switch;
-///                                   `clear` drops resident entries —
-///                                   mutations never need it, versions
-///                                   invalidate by key)
-///   stats [<session>]
-///   drain                  (block until every submitted eval completed)
-///   help                   (one-line usage per command)
-///   quit
+/// EvalAsync/Cancel/...) used by tests and the benches; and the
+/// newline-delimited request protocol (HandleLine) spoken by bvqserve over
+/// stdin or TCP and by bvqsh's `serve` command. The protocol's commands and
+/// options are listed once, in ProtocolHelpText() (the `help` response).
 ///
 /// Control responses are single lines (`ok ...` / `err ...`); eval
 /// completions arrive asynchronously as one atomically-emitted block
@@ -154,9 +129,6 @@ class Server {
   /// already in flight or no batch is being collected.
   Status BatchAddWithId(std::uint64_t id, const std::string& session,
                         const std::string& query);
-  /// Same, with a server-assigned id.
-  Result<std::uint64_t> BatchAdd(const std::string& session,
-                                 const std::string& query);
   /// Plans and launches the pending batch; `done` is invoked once per query
   /// from worker threads, exactly as EvalAsync would. Returns the plan's
   /// stats (zero nodes / dedup 1.0 when planning was skipped: batch=0 kill

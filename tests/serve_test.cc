@@ -28,7 +28,6 @@
 #include "serve/admission.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "serve/shard.h"
 
 #include <unistd.h>
 
@@ -538,6 +537,15 @@ TEST(ServeProtocolTest, FullSessionConversation) {
   server.HandleLine("eval 7 s1 (x1,x2) E(x1,x2)", emit);
   server.Drain();
   server.HandleLine("stats s1", emit);
+  // Error texts clients match on: an unknown cancel id, and an eval id
+  // reused (here in another session) while its first query is in flight.
+  server.HandleLine("cancel 424242", emit);
+  ASSERT_TRUE(server.Open("slow", SessionOptions{}, CounterDb(18)).ok());
+  server.HandleLine(StrCat("eval 8 slow ", kCounterQuery), emit);
+  server.HandleLine("eval 8 s1 (x1,x2) E(x1,x2)", emit);
+  server.HandleLine("cancel 8", emit);
+  server.Drain();
+  server.HandleLine("close slow", emit);
   server.HandleLine("close s1", emit);
   server.HandleLine("bogus command", emit);
   server.HandleLine("quit", emit);
@@ -555,9 +563,22 @@ TEST(ServeProtocolTest, FullSessionConversation) {
   EXPECT_NE(all.find("result 7 ok\n"), std::string::npos) << all;
   EXPECT_NE(all.find("4 tuple(s), arity 2"), std::string::npos) << all;
   EXPECT_NE(all.find("end 7\n"), std::string::npos) << all;
+  // The submit ack always precedes the query's own result block.
+  EXPECT_LT(all.find("ok eval 7\n"), all.find("result 7 ok\n")) << all;
   EXPECT_NE(all.find("stats session=s1 queries=1 ok=1 failed=0"),
             std::string::npos)
       << all;
+  EXPECT_NE(all.find("err cancel 424242: NotFound: no in-flight query with "
+                     "id 424242\n"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("err eval 8: InvalidArgument: query id 8 is already in "
+                     "flight\n"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("ok cancel 8\n"), std::string::npos) << all;
+  EXPECT_NE(all.find("result 8 error Cancelled\n"), std::string::npos) << all;
+  EXPECT_LT(all.find("ok eval 8\n"), all.find("result 8 error")) << all;
   EXPECT_NE(all.find("ok close s1\n"), std::string::npos) << all;
   EXPECT_NE(all.find("err unknown command \"bogus\"; try help"),
             std::string::npos)
@@ -749,8 +770,6 @@ TEST(ServeProtocolTest, StrictNumericParsingRejectsGarbage) {
   EXPECT_EQ(server.sessions().size(), 0u);
 }
 
-// --- sharded router --------------------------------------------------------------
-
 // Builds a "rel <session> E/2 .." request line for an n-cycle.
 std::string CycleRelLine(const std::string& session, std::size_t n) {
   std::string line = StrCat("rel ", session, " E/2");
@@ -758,436 +777,6 @@ std::string CycleRelLine(const std::string& session, std::size_t n) {
     line += StrCat(" ", i, " ", (i + 1) % n, " ;");
   }
   return line;
-}
-
-// Builds a "rel <session> Lt/2 .." strict-order line (the counter workload).
-std::string OrderRelLine(const std::string& session, std::size_t n) {
-  std::string line = StrCat("rel ", session, " Lt/2");
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) line += StrCat(" ", i, " ", j, " ;");
-  }
-  return line;
-}
-
-// Returns a session name hashing onto `shard` under `num_shards`.
-std::string NameOnShard(std::size_t shard, std::size_t num_shards) {
-  for (int i = 0; i < 1024; ++i) {
-    std::string name = StrCat("s", i);
-    if (ShardForSession(name, num_shards) == shard) return name;
-  }
-  ADD_FAILURE() << "no session name found for shard " << shard;
-  return "s0";
-}
-
-// A front-end client collecting everything the router emits to it.
-struct TestClient {
-  explicit TestClient(ShardRouter& router)
-      : client(router.NewClient([this](const std::string& chunk) {
-          std::lock_guard<std::mutex> lock(mutex);
-          chunks.push_back(chunk);
-        })) {}
-
-  std::string All() {
-    std::lock_guard<std::mutex> lock(mutex);
-    std::string all;
-    for (const auto& chunk : chunks) all += chunk;
-    return all;
-  }
-  bool Contains(const std::string& needle) {
-    return All().find(needle) != std::string::npos;
-  }
-  // The result/end block for query id `id` ("" until it arrives); blocks are
-  // emitted as one chunk, so this is exact.
-  std::string Block(std::size_t id) {
-    std::lock_guard<std::mutex> lock(mutex);
-    const std::string prefix = StrCat("result ", id, " ");
-    for (const auto& chunk : chunks) {
-      if (chunk.rfind(prefix, 0) == 0) return chunk;
-    }
-    return "";
-  }
-
-  std::mutex mutex;
-  std::vector<std::string> chunks;
-  std::shared_ptr<ShardRouter::Client> client;
-};
-
-// N in-process workers — a real Server each, served by ServeWorker over
-// pipes — attached to a router. Exactly the process topology of
-// `bvqserve --shards=N` minus fork/exec (which the bvqserve_shard_demo
-// ctest and the check.sh shard smoke cover).
-class RouterHarness {
- public:
-  explicit RouterHarness(std::size_t n) {
-    ShardRouter::Options options;
-    options.num_shards = n;
-    router_ = std::make_unique<ShardRouter>(std::move(options));
-    for (std::size_t i = 0; i < n; ++i) {
-      servers_.push_back(std::make_unique<Server>());
-      int req[2], can[2], resp[2];
-      EXPECT_EQ(::pipe(req), 0);
-      EXPECT_EQ(::pipe(can), 0);
-      EXPECT_EQ(::pipe(resp), 0);
-      Server* server = servers_.back().get();
-      worker_threads_.emplace_back(
-          [server, in = req[0], cancel = can[0], out = resp[1]] {
-            ServeWorker(*server, in, cancel, out);
-          });
-      EXPECT_TRUE(router_->AttachWorker(i, req[1], can[1], resp[0]).ok());
-    }
-  }
-
-  ~RouterHarness() {
-    router_->Shutdown();
-    for (auto& t : worker_threads_) {
-      if (t.joinable()) t.join();
-    }
-  }
-
-  ShardRouter& router() { return *router_; }
-
- private:
-  std::unique_ptr<ShardRouter> router_;
-  std::vector<std::unique_ptr<Server>> servers_;
-  std::vector<std::thread> worker_threads_;
-};
-
-TEST(ShardRouterTest, SessionHashingIsStableAndInRange) {
-  for (int i = 0; i < 256; ++i) {
-    const std::string name = StrCat("session-", i);
-    const std::size_t shard = ShardForSession(name, 4);
-    EXPECT_LT(shard, 4u);
-    // Same name, same placement — on every lookup (the property a restarted
-    // router relies on; the hash has no per-process state to vary).
-    EXPECT_EQ(ShardForSession(name, 4), shard);
-    EXPECT_EQ(ShardForSession(name, 1), 0u);
-  }
-  // The FNV placement actually spreads: 256 distinct names cannot all pile
-  // onto one of 4 shards.
-  std::set<std::size_t> used;
-  for (int i = 0; i < 256; ++i) {
-    used.insert(ShardForSession(StrCat("session-", i), 4));
-  }
-  EXPECT_EQ(used.size(), 4u);
-}
-
-TEST(ShardRouterTest, ShardShareSplitsBudgetsWithoutCreatingUnlimited) {
-  // 0 means "unlimited" in AdmissionOptions and must stay 0.
-  EXPECT_EQ(ShardShare(0, 0, 4), 0u);
-  EXPECT_EQ(ShardShare(0, 3, 4), 0u);
-  // A finite total splits exactly when it divides the fleet.
-  std::size_t sum = 0;
-  for (std::size_t s = 0; s < 4; ++s) sum += ShardShare(256, s, 4);
-  EXPECT_EQ(sum, 256u);
-  // Remainders go to the low shards, one unit each.
-  EXPECT_EQ(ShardShare(10, 0, 4), 3u);
-  EXPECT_EQ(ShardShare(10, 1, 4), 3u);
-  EXPECT_EQ(ShardShare(10, 2, 4), 2u);
-  EXPECT_EQ(ShardShare(10, 3, 4), 2u);
-  // A finite budget smaller than the fleet must not round any shard down
-  // to 0 (= unlimited); the clamp hands out 1 instead.
-  for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(ShardShare(1, s, 4), 1u);
-}
-
-TEST(ShardRouterTest, AggregateStatsParseAndMerge) {
-  ShardStatsSnapshot a, b;
-  ASSERT_TRUE(ParseAggregateStats(
-      "stats sessions=2 active=1 queue=3 reserved_bytes=1024 "
-      "peak_reserved_bytes=4096 admitted=10 rejected=2 queued=5 cancelled=1",
-      &a));
-  EXPECT_EQ(a.sessions, 2u);
-  EXPECT_EQ(a.queue, 3u);
-  EXPECT_EQ(a.cancelled, 1u);
-  ASSERT_TRUE(ParseAggregateStats(
-      "stats sessions=1 active=0 queue=0 reserved_bytes=512 "
-      "peak_reserved_bytes=512 admitted=3 rejected=0 queued=0 cancelled=2",
-      &b));
-  EXPECT_EQ(
-      MergeAggregateStats({a, b}, 3),
-      "stats sessions=3 active=1 queue=3 reserved_bytes=1536 "
-      "peak_reserved_bytes=4608 admitted=13 rejected=2 queued=5 cancelled=3 "
-      "shards=3 up=2");
-  // Missing counters (e.g. an error line from a dead shard) parse to false.
-  ShardStatsSnapshot c;
-  EXPECT_FALSE(ParseAggregateStats("err shard 1 down", &c));
-  EXPECT_FALSE(ParseAggregateStats("stats sessions=1 active=0", &c));
-}
-
-TEST(ShardRouterTest, RoutedEvalIsByteIdenticalToDirectServer) {
-  const std::string session = NameOnShard(1, 2);
-  const std::vector<std::string> script = {
-      StrCat("open ", session, " k=3"),
-      StrCat("domain ", session, " 12"),
-      CycleRelLine(session, 12),
-      StrCat("eval 9 ", session, " ", kTcQuery),
-      "drain",
-  };
-
-  // Direct single-process run.
-  Server direct;
-  std::mutex direct_mutex;
-  std::vector<std::string> direct_chunks;
-  for (const auto& line : script) {
-    direct.HandleLine(line, [&](const std::string& chunk) {
-      std::lock_guard<std::mutex> lock(direct_mutex);
-      direct_chunks.push_back(chunk);
-    });
-  }
-
-  // Same conversation through a 2-shard router.
-  RouterHarness harness(2);
-  TestClient client(harness.router());
-  for (const auto& line : script) {
-    harness.router().HandleLine(client.client, line);
-  }
-
-  // Every control response matches, and the result block — the served
-  // payload — is byte-identical, including the client's original id.
-  std::string direct_block;
-  {
-    std::lock_guard<std::mutex> lock(direct_mutex);
-    for (const auto& chunk : direct_chunks) {
-      if (chunk.rfind("result 9 ", 0) == 0) direct_block = chunk;
-      EXPECT_NE(client.All().find(chunk), std::string::npos) << chunk;
-    }
-  }
-  ASSERT_FALSE(direct_block.empty());
-  EXPECT_NE(direct_block.find("144 tuple(s)"), std::string::npos)
-      << direct_block;
-  EXPECT_EQ(client.Block(9), direct_block);
-}
-
-TEST(ShardRouterTest, ConsolidatedStatsSumAcrossShards) {
-  RouterHarness harness(2);
-  TestClient client(harness.router());
-  const std::string on0 = NameOnShard(0, 2);
-  const std::string on1 = NameOnShard(1, 2);
-  for (const std::string& name : {on0, on1}) {
-    harness.router().HandleLine(client.client, StrCat("open ", name, " k=3"));
-    harness.router().HandleLine(client.client, StrCat("domain ", name, " 6"));
-    harness.router().HandleLine(client.client, CycleRelLine(name, 6));
-    EXPECT_TRUE(client.Contains(StrCat("ok open ", name, "\n")));
-  }
-  harness.router().HandleLine(client.client, StrCat("eval 1 ", on0, " ", kTcQuery));
-  harness.router().HandleLine(client.client, StrCat("eval 2 ", on1, " ", kTcQuery));
-  harness.router().HandleLine(client.client, "drain");
-  EXPECT_TRUE(client.Contains("result 1 ok\n")) << client.All();
-  EXPECT_TRUE(client.Contains("result 2 ok\n")) << client.All();
-
-  // Each worker only admitted its own query; the consolidated line sums
-  // the fleet's counters into the single-process field order.
-  harness.router().HandleLine(client.client, "stats");
-  EXPECT_TRUE(client.Contains("stats sessions=2 active=0 queue=0 "
-                              "reserved_bytes=0 "))
-      << client.All();
-  EXPECT_TRUE(client.Contains(" admitted=2 rejected=0 queued=0 cancelled=0 "
-                              "shards=2 up=2\n"))
-      << client.All();
-
-  // Per-session stats still route to the owning shard untouched.
-  harness.router().HandleLine(client.client, StrCat("stats ", on1));
-  EXPECT_TRUE(client.Contains(StrCat("stats session=", on1, " ")))
-      << client.All();
-
-  harness.router().HandleLine(client.client, StrCat("close ", on0));
-  harness.router().HandleLine(client.client, StrCat("close ", on1));
-  harness.router().HandleLine(client.client, "stats");
-  EXPECT_TRUE(client.Contains("stats sessions=0 active=0 queue=0 "
-                              "reserved_bytes=0 "))
-      << client.All();
-}
-
-TEST(ShardRouterTest, DuplicateInflightIdRejectedFleetWide) {
-  RouterHarness harness(2);
-  TestClient client(harness.router());
-  const std::string slow = NameOnShard(0, 2);
-  const std::string fast = NameOnShard(1, 2);
-  harness.router().HandleLine(client.client, StrCat("open ", slow, " k=2"));
-  harness.router().HandleLine(client.client, StrCat("domain ", slow, " 18"));
-  harness.router().HandleLine(client.client, OrderRelLine(slow, 18));
-  harness.router().HandleLine(client.client, StrCat("open ", fast, " k=3"));
-  harness.router().HandleLine(client.client, StrCat("domain ", fast, " 6"));
-  harness.router().HandleLine(client.client, CycleRelLine(fast, 6));
-
-  harness.router().HandleLine(client.client,
-                              StrCat("eval 7 ", slow, " ", kCounterQuery));
-  EXPECT_TRUE(client.Contains("ok eval 7\n")) << client.All();
-
-  // Same id on the *other* shard: the router must reject it with the
-  // single-process error text — per-worker uniqueness is not enough.
-  harness.router().HandleLine(client.client,
-                              StrCat("eval 7 ", fast, " ", kTcQuery));
-  EXPECT_TRUE(client.Contains(
-      "err eval 7: InvalidArgument: query id 7 is already in flight\n"))
-      << client.All();
-
-  harness.router().HandleLine(client.client, "cancel 7");
-  EXPECT_TRUE(client.Contains("ok cancel 7\n")) << client.All();
-  ASSERT_TRUE(WaitFor([&] { return !client.Block(7).empty(); }));
-  EXPECT_EQ(client.Block(7).rfind("result 7 error Cancelled\n", 0), 0u)
-      << client.Block(7);
-
-  // Once the block is back the id is free again, on any shard.
-  harness.router().HandleLine(client.client,
-                              StrCat("eval 7 ", fast, " ", kTcQuery));
-  harness.router().HandleLine(client.client, "drain");
-  const std::string all = client.All();
-  EXPECT_NE(all.rfind("ok eval 7\n"), all.find("ok eval 7\n")) << all;
-  EXPECT_TRUE(client.Contains("result 7 ok\n")) << all;
-}
-
-TEST(ShardRouterTest, CancelErrorTextMatchesDirectServer) {
-  Server direct;
-  std::string direct_response;
-  direct.HandleLine("cancel 424242", [&](const std::string& chunk) {
-    direct_response = chunk;
-  });
-
-  RouterHarness harness(2);
-  TestClient client(harness.router());
-  harness.router().HandleLine(client.client, "cancel 424242");
-  ASSERT_EQ(client.chunks.size(), 1u);
-  EXPECT_EQ(client.chunks[0], direct_response);
-}
-
-TEST(ShardRouterTest, CancelBypassesBlockedDrain) {
-  RouterHarness harness(2);
-  TestClient client(harness.router());
-  const std::string slow = NameOnShard(0, 2);
-  harness.router().HandleLine(client.client, StrCat("open ", slow, " k=2"));
-  harness.router().HandleLine(client.client, StrCat("domain ", slow, " 18"));
-  harness.router().HandleLine(client.client, OrderRelLine(slow, 18));
-  harness.router().HandleLine(client.client,
-                              StrCat("eval 3 ", slow, " ", kCounterQuery));
-  EXPECT_TRUE(client.Contains("ok eval 3\n")) << client.All();
-
-  // Park a drain on the request path — it blocks until the counter query
-  // finishes, which ungoverned takes ~2^18 stages.
-  std::thread drainer([&] { harness.router().HandleLine(client.client, "drain"); });
-  std::this_thread::sleep_for(milliseconds(50));
-
-  // The cancel must overtake it via the out-of-band channel; if it queued
-  // behind the drain this would deadlock (cancel waits for drain, drain
-  // waits for the query, the query waits for cancel).
-  harness.router().HandleLine(client.client, "cancel 3");
-  drainer.join();
-  EXPECT_TRUE(client.Contains("ok cancel 3\n")) << client.All();
-  EXPECT_TRUE(client.Contains("ok drain\n")) << client.All();
-  ASSERT_TRUE(WaitFor([&] { return !client.Block(3).empty(); }));
-  EXPECT_EQ(client.Block(3).rfind("result 3 error Cancelled\n", 0), 0u)
-      << client.Block(3);
-}
-
-TEST(ShardRouterTest, WorkerCrashFailsInFlightAndReportsShardDown) {
-  // A scripted fake worker stands in for a crashing process: it acks an
-  // open and an eval, then slams all three fds shut mid-query.
-  ShardRouter::Options options;
-  options.num_shards = 1;
-  ShardRouter router(std::move(options));
-  int req[2], can[2], resp[2];
-  ASSERT_EQ(::pipe(req), 0);
-  ASSERT_EQ(::pipe(can), 0);
-  ASSERT_EQ(::pipe(resp), 0);
-  ASSERT_TRUE(router.AttachWorker(0, req[1], can[1], resp[0]).ok());
-
-  std::thread fake([in = req[0], cancel = can[0], out = resp[1]] {
-    auto read_line = [in] {
-      std::string line;
-      char c = 0;
-      while (::read(in, &c, 1) == 1 && c != '\n') line += c;
-      return line;
-    };
-    std::istringstream open_line(read_line());  // "open s .."
-    std::string cmd, name;
-    open_line >> cmd >> name;
-    std::string ack = StrCat("ok open ", name, "\n");
-    ASSERT_EQ(::write(out, ack.data(), ack.size()),
-              static_cast<ssize_t>(ack.size()));
-    std::istringstream eval_line(read_line());  // "eval <iid> s .."
-    std::string id_tok;
-    eval_line >> cmd >> id_tok;
-    ack = StrCat("ok eval ", id_tok, "\n");
-    ASSERT_EQ(::write(out, ack.data(), ack.size()),
-              static_cast<ssize_t>(ack.size()));
-    ::close(out);  // crash: EOF with a query in flight
-    ::close(in);
-    ::close(cancel);
-  });
-
-  TestClient client(router);
-  router.HandleLine(client.client, "open s k=2");
-  EXPECT_TRUE(client.Contains("ok open s\n")) << client.All();
-  router.HandleLine(client.client, StrCat("eval 5 s ", kCounterQuery));
-  EXPECT_TRUE(client.Contains("ok eval 5\n")) << client.All();
-
-  // The reader sees EOF: shard marked down, the acknowledged eval completed
-  // as an Unavailable error block (never a hang), no respawn without a
-  // worker command.
-  ASSERT_TRUE(WaitFor([&] { return !router.shard_up(0); }));
-  ASSERT_TRUE(WaitFor([&] { return !client.Block(5).empty(); }));
-  EXPECT_EQ(client.Block(5),
-            "result 5 error Unavailable\n  Unavailable: shard 0 down\n"
-            "end 5\n");
-  EXPECT_EQ(router.restarts(), 0u);
-
-  // The dead worker's sessions are gone; new work on the shard is refused
-  // with the down error, and a fleet stats still answers (up=0).
-  router.HandleLine(client.client, "open t k=2");
-  EXPECT_TRUE(client.Contains("err shard 0 down\n")) << client.All();
-  router.HandleLine(client.client, "stats");
-  EXPECT_TRUE(client.Contains(" shards=1 up=0\n")) << client.All();
-
-  fake.join();
-  router.Shutdown();
-}
-
-TEST(ShardRouterTest, RestartedWorkerCountsInUpOnlyAfterReack) {
-  // A scripted worker whose first incarnation answers exactly one line and
-  // exits, and whose second incarnation stays wedged (answering nothing)
-  // until a go-file appears. Between the respawn and the first line back,
-  // a sessionless stats must neither hang on the silent process nor count
-  // it as up.
-  char tmpl[] = "/tmp/bvq_reack_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  const std::string marker = dir + "/incarnation1";
-  const std::string go = dir + "/go";
-  const std::string stats_line =
-      "stats sessions=0 active=0 queue=0 reserved_bytes=0 "
-      "peak_reserved_bytes=0 admitted=0 rejected=0 queued=0 cancelled=0";
-  const std::string script = StrCat(
-      "if [ ! -e ", marker, " ]; then : > ", marker, "; read line; echo \"",
-      stats_line, "\"; exit 0; fi; while [ ! -e ", go,
-      " ]; do sleep 0.05; done; while read line; do echo \"", stats_line,
-      "\"; done");
-
-  ShardRouter::Options options;
-  options.num_shards = 1;
-  options.worker_commands = {{"/bin/sh", "-c", script}};
-  ShardRouter router(std::move(options));
-  ASSERT_TRUE(router.Start().ok());
-  TestClient client(router);
-
-  router.HandleLine(client.client, "stats");
-  EXPECT_TRUE(client.Contains(" shards=1 up=1\n")) << client.All();
-  // Answering that stats was incarnation 1's last act; wait for the
-  // respawn (observing the restart also observes the shard unacked).
-  ASSERT_TRUE(WaitFor([&] { return router.restarts() == 1; }));
-
-  // Respawned but silent: skipped, promptly, with up=0.
-  router.HandleLine(client.client, "stats");
-  const std::string all = client.All();
-  EXPECT_NE(all.rfind(" shards=1 up=0\n"), std::string::npos) << all;
-
-  // Unwedge incarnation 2. The router's own probe re-acks the shard — no
-  // client traffic is needed for up= to recover, but poll via stats.
-  { std::ofstream unwedge(go); }
-  ASSERT_TRUE(WaitFor([&] {
-    TestClient probe(router);
-    router.HandleLine(probe.client, "stats");
-    return probe.Contains(" shards=1 up=1\n");
-  }));
-  router.Shutdown();
 }
 
 TEST(ServeCacheTest, CacheDirPrewarmsARestartedServer) {
@@ -1574,63 +1163,6 @@ TEST(ServeBatchTest, HelpListsEveryProtocolCommand) {
   EXPECT_NE(sink.All().find("err unknown command \"frobnicate\"; try help\n"),
             std::string::npos)
       << sink.All();
-}
-
-TEST(ShardRouterTest, RoutedBatchIsByteIdenticalToDirectServer) {
-  const std::string session = NameOnShard(1, 2);
-  const std::vector<std::string> script = {
-      StrCat("open ", session, " k=3"),
-      StrCat("domain ", session, " 8"),
-      CycleRelLine(session, 8),
-      StrCat("batch ", session, " begin"),
-      StrCat("batch ", session, " eval 7 ", kPathQuery),
-      StrCat("batch ", session, " eval 8 ", kPathOrEdgeQuery),
-      StrCat("batch ", session, " end"),
-      "drain",
-  };
-
-  Server direct;
-  ChunkSink direct_sink;
-  for (const auto& line : script) direct.HandleLine(line, direct_sink.Emit());
-
-  RouterHarness harness(2);
-  TestClient client(harness.router());
-  for (const auto& line : script) {
-    harness.router().HandleLine(client.client, line);
-  }
-
-  // Control responses — including the stats-bearing end ack — and the
-  // result blocks match byte for byte, with the client's original ids.
-  {
-    std::lock_guard<std::mutex> lock(direct_sink.mutex);
-    for (const auto& chunk : direct_sink.chunks) {
-      EXPECT_NE(client.All().find(chunk), std::string::npos) << chunk;
-    }
-  }
-  for (const std::size_t id : {7u, 8u}) {
-    ASSERT_NE(direct_sink.Block(id), "") << id;
-    EXPECT_EQ(client.Block(id), direct_sink.Block(id)) << id;
-  }
-  EXPECT_TRUE(client.Contains(StrCat("ok batch ", session, " end queries=2 ")))
-      << client.All();
-
-  // `help` is answered by the router itself, byte-identical to a worker's.
-  harness.router().HandleLine(client.client, "help");
-  EXPECT_TRUE(client.Contains("ok help\n")) << client.All();
-  EXPECT_TRUE(client.Contains("batch <s> end")) << client.All();
-
-  // A duplicate batch-eval id is rejected fleet-wide with the worker's
-  // exact bytes, before any worker sees the line.
-  harness.router().HandleLine(
-      client.client, StrCat("batch ", session, " begin"));
-  harness.router().HandleLine(
-      client.client, StrCat("batch ", session, " eval 9 ", kPathQuery));
-  harness.router().HandleLine(
-      client.client, StrCat("batch ", session, " eval 9 ", kPathQuery));
-  EXPECT_TRUE(client.Contains(
-      StrCat("err batch ", session,
-             " eval 9: InvalidArgument: query id 9 is already in flight\n")))
-      << client.All();
 }
 
 // --- cache clear racing a running eval -------------------------------------

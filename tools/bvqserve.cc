@@ -1,22 +1,6 @@
 // bvqserve — the bvq serving layer over a newline-delimited request
-// protocol (see src/serve/server.h for the full grammar):
-//
-//   open <session> [k=N] [threads=N] [memo=0|1] [deadline-ms=N]
-//        [mem-budget-mb=N] [session-deadline-ms=N]
-//        [session-mem-budget-mb=N] [reserve-mb=N]
-//   domain <session> <n>
-//   rel <session> <name>/<arity> <v..> ; <v..> ;
-//   load <session> <path>
-//   eval <id> <session> <query>       (async; completion is a result block)
-//   batch <session> begin
-//   batch <session> eval <id> <query> (collected, not yet run)
-//   batch <session> end    (plan shared work, run all; one stats ok-line)
-//   cancel <id>
-//   close <session>
-//   stats [<session>]
-//   drain                  (block until every submitted eval completed)
-//   help                   (one-line usage per command)
-//   quit
+// protocol. The grammar is the `help` response (serve::ProtocolHelpText in
+// src/serve/server.cc); send `help` for the listing.
 //
 // Modes:
 //   bvqserve [script]      read requests from stdin (or a script file),
@@ -27,26 +11,15 @@
 //                          (sessions, admission, executor). A client
 //                          disconnect cancels that connection's in-flight
 //                          queries (remote cancellation via CancelHandle).
-//   bvqserve --shards=N    router mode (DESIGN.md §12): fork/exec N worker
-//                          processes, hash each session onto one, forward
-//                          its lines there, demultiplex result blocks back.
-//                          --aggregate-mb / --max-concurrent are split
-//                          across the workers; `stats` with no session is
-//                          consolidated across the fleet. Composes with
-//                          --port and script mode.
-//   bvqserve --cancel-fd=N worker mode (spawned by the router; not for
-//                          interactive use): serve requests from fd 0,
-//                          cancels from fd N, responses to fd 1.
 //
 // Admission flags: --aggregate-mb=N (aggregate memory budget handed out to
 // admitted queries), --max-concurrent=N, --queue-wait-ms=N (0 = reject
-// instead of queue), --queue-max=N, --lanes=N (executor threads).
+// instead of queue), --queue-max=N, --lanes=N (executor threads; one
+// process scales with lanes). --cache-dir=DIR persists and prewarms each
+// session's answer cache across restarts.
 
-#include <algorithm>
-#include <atomic>
-#include <csignal>
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -65,7 +38,6 @@
 
 #include "common/strings.h"
 #include "serve/server.h"
-#include "serve/shard.h"
 
 namespace {
 
@@ -96,76 +68,55 @@ bool ResultBlockId(const std::string& chunk, std::size_t* id) {
   return (is >> cmd >> tok) && ParseSizeT(tok, id);
 }
 
-// What the stream and TCP loops serve: either a single in-process Server or
-// a ShardRouter over N worker processes, behind one seam so the front ends
-// (and their disconnect-cancellation semantics) are written once.
-class FrontEnd {
+// One TCP client's view of the shared Server: it remembers the eval ids the
+// client submitted and which of them came back, so a disconnect cancels
+// exactly the work the client left unfinished.
+class Connection {
  public:
-  using Emit = std::function<void(const std::string&)>;
-  using Conn = std::shared_ptr<void>;
-
-  virtual ~FrontEnd() = default;
-  virtual Conn Connect(Emit emit) = 0;
-  /// Handles one request line; the control response (if any) is emitted
-  /// before this returns. Result blocks arrive on the connection's emit.
-  virtual void Handle(const Conn& conn, const std::string& line) = 0;
-  /// Client went away: cancel whatever it left in flight.
-  virtual void Disconnect(const Conn& conn) = 0;
-  virtual bool closed() const = 0;
-  /// End of input (stream mode): block until in-flight work is delivered.
-  virtual void Drain() = 0;
-};
-
-class ServerFrontEnd : public FrontEnd {
- public:
-  explicit ServerFrontEnd(serve::Server& server) : server_(server) {}
-
-  Conn Connect(Emit emit) override {
-    auto conn = std::make_shared<ConnState>();
-    conn->emit = std::move(emit);
-    return conn;
+  Connection(serve::Server& server, serve::Server::Emit emit)
+      : server_(server), state_(std::make_shared<State>()) {
+    state_->emit = std::move(emit);
   }
 
-  void Handle(const Conn& opaque, const std::string& line) override {
-    auto conn = std::static_pointer_cast<ConnState>(opaque);
+  void Handle(const std::string& line) {
     std::size_t id = 0;
     if (EvalRequestId(line, &id)) {
-      std::lock_guard<std::mutex> lock(conn->mutex);
+      std::lock_guard<std::mutex> lock(state_->mutex);
       // Completed ids are dead weight on a long-lived connection: drop them
       // (and their done-markers) before registering the new one. A reused
       // id sheds its stale marker too, or its new run would never be
       // cancelled on disconnect.
-      auto& evals = conn->my_evals;
+      auto& evals = state_->my_evals;
       for (auto it = evals.begin(); it != evals.end();) {
-        if (conn->done.erase(*it) > 0) {
+        if (state_->done.erase(*it) > 0) {
           it = evals.erase(it);
         } else {
           ++it;
         }
       }
-      conn->done.erase(id);
+      state_->done.erase(id);
       evals.push_back(id);
     }
     // The wrapper keeps the connection state alive for as long as a late
     // completion block can fire, and records which ids came back so the
     // disconnect path only cancels genuinely unfinished work.
-    server_.HandleLine(line, [conn](const std::string& chunk) {
+    server_.HandleLine(line, [state = state_](const std::string& chunk) {
       std::size_t done_id = 0;
       if (ResultBlockId(chunk, &done_id)) {
-        std::lock_guard<std::mutex> lock(conn->mutex);
-        conn->done.insert(done_id);
+        std::lock_guard<std::mutex> lock(state->mutex);
+        state->done.insert(done_id);
       }
-      conn->emit(chunk);
+      state->emit(chunk);
     });
   }
 
-  void Disconnect(const Conn& opaque) override {
-    auto conn = std::static_pointer_cast<ConnState>(opaque);
+  // Client went away: cancel whatever it left in flight.
+  void Disconnect() {
     std::vector<std::size_t> live;
     {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      for (const std::size_t id : conn->my_evals) {
-        if (conn->done.count(id) == 0) live.push_back(id);
+      std::lock_guard<std::mutex> lock(state_->mutex);
+      for (const std::size_t id : state_->my_evals) {
+        if (state_->done.count(id) == 0) live.push_back(id);
       }
     }
     // Races with completion are benign: a just-finished query comes back
@@ -175,55 +126,33 @@ class ServerFrontEnd : public FrontEnd {
     }
   }
 
-  bool closed() const override { return server_.closed(); }
-  void Drain() override { server_.Drain(); }
-
  private:
-  struct ConnState {
-    Emit emit;
+  struct State {
+    serve::Server::Emit emit;
     std::mutex mutex;                 // guards my_evals / done
     std::vector<std::size_t> my_evals;
     std::set<std::size_t> done;       // ids whose result block was emitted
   };
 
   serve::Server& server_;
+  std::shared_ptr<State> state_;
 };
 
-class RouterFrontEnd : public FrontEnd {
- public:
-  explicit RouterFrontEnd(serve::ShardRouter& router) : router_(router) {}
-
-  Conn Connect(Emit emit) override {
-    return router_.NewClient(std::move(emit));
-  }
-  void Handle(const Conn& conn, const std::string& line) override {
-    router_.HandleLine(
-        std::static_pointer_cast<serve::ShardRouter::Client>(conn), line);
-  }
-  void Disconnect(const Conn& conn) override {
-    router_.DetachClient(
-        std::static_pointer_cast<serve::ShardRouter::Client>(conn));
-  }
-  bool closed() const override { return router_.closed(); }
-  // Shutdown sends quit to every worker; each drains its in-flight queries
-  // and the remaining result blocks flow back through the readers before
-  // the workers' EOF, so stream mode loses nothing.
-  void Drain() override { router_.Shutdown(); }
-
- private:
-  serve::ShardRouter& router_;
-};
-
-void ServeStream(FrontEnd& fe, std::istream& in, const FrontEnd::Emit& emit) {
-  const FrontEnd::Conn conn = fe.Connect(emit);
+// Stream mode: every line goes straight to the server, whose emits are
+// already serialized into whole chunks.
+void ServeStream(serve::Server& server, std::istream& in) {
+  const serve::Server::Emit emit = [](const std::string& chunk) {
+    std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+    std::fflush(stdout);
+  };
   std::string line;
-  while (!fe.closed() && std::getline(in, line)) {
-    fe.Handle(conn, line);
+  while (!server.closed() && std::getline(in, line)) {
+    server.HandleLine(line, emit);
   }
-  fe.Drain();
+  server.Drain();
 }
 
-int ServeTcp(FrontEnd& fe, int port) {
+int ServeTcp(serve::Server& server, int port) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listener < 0) {
     std::perror("bvqserve: socket");
@@ -262,7 +191,7 @@ int ServeTcp(FrontEnd& fe, int port) {
   // Poll with a timeout so a `quit` handled on some connection thread stops
   // the listener too: accepting after close would hand new clients a dead
   // server.
-  while (!fe.closed()) {
+  while (!server.closed()) {
     pollfd pfd{listener, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
     if (ready < 0) {
@@ -278,7 +207,7 @@ int ServeTcp(FrontEnd& fe, int port) {
       std::lock_guard<std::mutex> lock(conns_mutex);
       conns.push_back(state);
     }
-    handlers.emplace_back([&fe, state] {
+    handlers.emplace_back([&server, state] {
       // The write side outlives the handler: eval done-callbacks capture it
       // and may fire after disconnect (cancellation is asynchronous, so a
       // cancelled query can still complete later). Every send is guarded by
@@ -303,11 +232,11 @@ int ServeTcp(FrontEnd& fe, int port) {
           off += static_cast<std::size_t>(n);
         }
       };
-      const FrontEnd::Conn fe_conn = fe.Connect(write_all);
+      Connection client(server, write_all);
       std::string buffer, line;
       char chunk[4096];
       bool open = true;
-      while (open && !fe.closed()) {
+      while (open && !server.closed()) {
         const ssize_t n = ::recv(state->fd, chunk, sizeof(chunk), 0);
         if (n <= 0) break;
         buffer.append(chunk, static_cast<std::size_t>(n));
@@ -315,15 +244,15 @@ int ServeTcp(FrontEnd& fe, int port) {
         while ((nl = buffer.find('\n')) != std::string::npos) {
           line = buffer.substr(0, nl);
           buffer.erase(0, nl + 1);
-          fe.Handle(fe_conn, line);
-          if (fe.closed()) {
+          client.Handle(line);
+          if (server.closed()) {
             open = false;
             break;
           }
         }
       }
       // Client disconnect → cancel whatever it left running.
-      fe.Disconnect(fe_conn);
+      client.Disconnect();
       // Close the write side before the fd: once `open` drops under the
       // mutex, no in-progress send holds the fd and no future one starts.
       {
@@ -352,21 +281,7 @@ int ServeTcp(FrontEnd& fe, int port) {
 int main(int argc, char** argv) {
   serve::ServeOptions options;
   int port = -1;
-  int cancel_fd = -1;
-  std::size_t shards = 0;
   const char* script_path = nullptr;
-  struct {
-    std::size_t aggregate_mb = 0;
-    std::size_t max_concurrent = 0;
-    std::size_t queue_wait_ms = 0;
-    std::size_t queue_max = 0;
-    std::size_t lanes = 0;
-    bool has_aggregate = false;
-    bool has_max_concurrent = false;
-    bool has_queue_wait = false;
-    bool has_queue_max = false;
-    bool has_lanes = false;
-  } raw;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const char* name, std::size_t* out) {
@@ -386,34 +301,16 @@ int main(int argc, char** argv) {
         return 2;
       }
       port = static_cast<int>(v);
-    } else if (value_of("--shards", &v)) {
-      if (v == 0) {
-        std::fprintf(stderr, "bvqserve: --shards must be >= 1\n");
-        return 2;
-      }
-      shards = v;
-    } else if (value_of("--cancel-fd", &v)) {
-      cancel_fd = static_cast<int>(v);
     } else if (value_of("--aggregate-mb", &v)) {
       options.admission.aggregate_mem_budget_bytes = v << 20;
-      raw.aggregate_mb = v;
-      raw.has_aggregate = true;
     } else if (value_of("--max-concurrent", &v)) {
       options.admission.max_concurrent_queries = v;
-      raw.max_concurrent = v;
-      raw.has_max_concurrent = true;
     } else if (value_of("--queue-wait-ms", &v)) {
       options.admission.queue_wait_ms = v;
-      raw.queue_wait_ms = v;
-      raw.has_queue_wait = true;
     } else if (value_of("--queue-max", &v)) {
       options.admission.max_queue_length = v;
-      raw.queue_max = v;
-      raw.has_queue_max = true;
     } else if (value_of("--lanes", &v)) {
       options.executor_threads = v;
-      raw.lanes = v;
-      raw.has_lanes = true;
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       options.cache_dir = arg.substr(std::string("--cache-dir=").size());
       if (options.cache_dir.empty()) {
@@ -422,7 +319,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: bvqserve [--port=N] [--shards=N] [--aggregate-mb=N] "
+          "usage: bvqserve [--port=N] [--aggregate-mb=N] "
           "[--max-concurrent=N] [--queue-wait-ms=N] [--queue-max=N] "
           "[--lanes=N] [--cache-dir=DIR] [script]\n");
       return 0;
@@ -435,89 +332,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cancel_fd >= 0) {
-    // Worker mode: the router owns our fds 0 (requests), 1 (responses) and
-    // `cancel_fd` (out-of-band cancels). Admission flags arrive pre-split.
-    if (shards != 0 || port >= 0 || script_path != nullptr) {
-      std::fprintf(stderr,
-                   "bvqserve: --cancel-fd (worker mode) cannot combine with "
-                   "--shards/--port/script\n");
-      return 2;
-    }
-    serve::Server server(options);
-    serve::ServeWorker(server, /*request_fd=*/0, cancel_fd,
-                       /*response_fd=*/1);
-    return 0;
-  }
-
-  std::mutex stdout_mutex;
-  auto emit = [&stdout_mutex](const std::string& chunk) {
-    std::lock_guard<std::mutex> lock(stdout_mutex);
-    std::fwrite(chunk.data(), 1, chunk.size(), stdout);
-    std::fflush(stdout);
-  };
-
-  auto serve = [&](FrontEnd& fe) -> int {
-    if (port >= 0) return ServeTcp(fe, port);
-    if (script_path != nullptr) {
-      std::ifstream script(script_path);
-      if (!script) {
-        std::fprintf(stderr, "bvqserve: cannot open %s\n", script_path);
-        return 1;
-      }
-      ServeStream(fe, script, emit);
-      return 0;
-    }
-    ServeStream(fe, std::cin, emit);
-    return 0;
-  };
-
-  if (shards > 0) {
-    // Router mode: split the fleet-wide admission budgets across workers
-    // (ShardShare keeps every share finite when the total is finite) and
-    // re-exec ourselves N times in worker mode.
-    serve::ShardRouter::Options router_options;
-    router_options.num_shards = shards;
-    for (std::size_t s = 0; s < shards; ++s) {
-      std::vector<std::string> cmd{"/proc/self/exe"};
-      if (raw.has_aggregate) {
-        cmd.push_back(StrCat("--aggregate-mb=",
-                             serve::ShardShare(raw.aggregate_mb, s, shards)));
-      }
-      if (raw.has_max_concurrent) {
-        cmd.push_back(
-            StrCat("--max-concurrent=",
-                   serve::ShardShare(raw.max_concurrent, s, shards)));
-      }
-      if (raw.has_queue_wait) {
-        cmd.push_back(StrCat("--queue-wait-ms=", raw.queue_wait_ms));
-      }
-      if (raw.has_queue_max) {
-        cmd.push_back(StrCat("--queue-max=", raw.queue_max));
-      }
-      if (raw.has_lanes) cmd.push_back(StrCat("--lanes=", raw.lanes));
-      if (!options.cache_dir.empty()) {
-        // Workers persist and prewarm their own sessions' caches: session
-        // placement is stable (ShardForSession), so a restarted worker
-        // finds exactly its sessions' snapshots under the shared dir.
-        cmd.push_back(StrCat("--cache-dir=", options.cache_dir));
-      }
-      router_options.worker_commands.push_back(std::move(cmd));
-    }
-    serve::ShardRouter router(std::move(router_options));
-    const Status started = router.Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "bvqserve: %s\n", started.ToString().c_str());
+  serve::Server server(options);
+  if (port >= 0) return ServeTcp(server, port);
+  if (script_path != nullptr) {
+    std::ifstream script(script_path);
+    if (!script) {
+      std::fprintf(stderr, "bvqserve: cannot open %s\n", script_path);
       return 1;
     }
-    std::fprintf(stderr, "bvqserve: router over %zu shards\n", shards);
-    RouterFrontEnd fe(router);
-    const int rc = serve(fe);
-    router.Shutdown();
-    return rc;
+    ServeStream(server, script);
+    return 0;
   }
-
-  serve::Server server(options);
-  ServerFrontEnd fe(server);
-  return serve(fe);
+  ServeStream(server, std::cin);
+  return 0;
 }

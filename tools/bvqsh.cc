@@ -23,26 +23,12 @@
 //   stats on|off                print memo/hoist counters after eval
 //   deadline <ms>               per-query wall-clock deadline (0 = none)
 //   membudget <mb>              per-query memory budget in MiB (0 = none)
-//   session limits <agg-mb> <max-conc> [wait-ms]   configure admission
-//   session open <name> [key=value..]  open a served session (snapshots the
-//                               current db, k, options; keys: k, threads,
-//                               deadline-ms, mem-budget-mb,
-//                               session-deadline-ms, session-mem-budget-mb,
-//                               reserve-mb, cache, cache-mb)
-//   session eval <name> <query> evaluate through the serving layer
-//                               (admission + composite session token)
-//   session stats [<name>]      admission / per-session counters
-//   session close <name>        close a session
-//   session list                list open sessions
-//   session shard <n> <name>..  plan placements: which of n router shards
-//                               each session name hashes onto (the same
-//                               FNV-1a placement bvqserve --shards=n uses)
-//   batch <name> begin          start collecting a batch for a session
-//   batch <name> eval <query>   add a query to the batch (not yet run)
-//   batch <name> end            plan shared subformulas (DESIGN.md §14),
-//                               run the batch, print results in submission
-//                               order — byte-identical to serial
-//                               `session eval` runs
+//   serve <request>             send one protocol request (the bvqserve
+//                               grammar: `serve help` lists it) to the
+//                               shell's in-process server, print every
+//                               response chunk, and wait for its evals to
+//                               finish; an `err` line or a `result <id>
+//                               error` block counts as a shell error
 //   source <file>               run commands from a file; unlike script
 //                               mode, stops at the first error and reports
 //                               it with file:line context
@@ -77,13 +63,10 @@
 //        exists x1 . (x1 = x3 & T(x1,x2)))](x1,x2)
 
 #include <chrono>
-#include <condition_variable>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -105,7 +88,6 @@
 #include "logic/analysis.h"
 #include "logic/parser.h"
 #include "serve/server.h"
-#include "serve/shard.h"
 
 namespace {
 
@@ -125,14 +107,9 @@ struct ShellState {
   bool print_stats = false;  // extra memo/hoist counter line after eval
   bool had_error = false;    // any error seen; drives the exit code
   std::string pending_rel_lines;  // accumulated "rel" lines for ParseDatabase
-  // Serving layer behind the `session` commands; created on first use so a
-  // shell that never touches sessions spawns no executor threads.
+  // Serving layer behind the `serve` command; created on first use so a
+  // shell that never serves spawns no executor threads.
   std::unique_ptr<serve::Server> server;
-  // Queries collected by `batch <name> eval` since the matching `begin`,
-  // in submission order, so `end` can print results in that order (ids are
-  // server-assigned; the Server holds the batch itself).
-  std::map<std::string, std::vector<std::pair<std::uint64_t, std::string>>>
-      batch_queries;
 };
 
 serve::Server& ServerRef(ShellState& state) {
@@ -227,14 +204,32 @@ void PrintSolverStats(const EsoEvalStats& stats) {
       static_cast<unsigned long long>(stats.solver.solve_calls));
 }
 
+// The failure a served response chunk reports, if any: the text of an
+// `err ...` line, or the status line of a `result <id> error` block.
+bool ServedError(const std::string& chunk, std::string* detail) {
+  if (chunk.rfind("err ", 0) == 0) {
+    *detail = std::string(StripAsciiWhitespace(chunk.substr(4)));
+    return true;
+  }
+  std::istringstream is(chunk);
+  std::string result, id, outcome, status;
+  if (!(is >> result >> id >> outcome) || result != "result" ||
+      outcome != "error") {
+    return false;
+  }
+  std::getline(is, status);  // rest of the header line
+  std::getline(is, status);  // the indented status
+  *detail = std::string(StripAsciiWhitespace(status));
+  return true;
+}
+
 void Help() {
   std::printf(
       "commands: help | domain <n> | rel <name>/<arity> t.. ; | load <f> | "
       "show | k <n> |\n          strategy naive|reuse | pfp hash|floyd | "
       "threads <n> | memo on|off |\n          esoinc on|off | stats on|off | "
-      "deadline <ms> | membudget <mb> |\n          session "
-      "limits|open|eval|stats|close|list|shard ... |\n          batch <name> "
-      "begin|eval|end | source <f> |\n          eval <q> | "
+      "deadline <ms> | membudget <mb> |\n          serve <request> "
+      "(serve help lists the protocol) | source <f> |\n          eval <q> | "
       "naive <q> | eso <q> | esoall <q> | datalog <f> | quit\n");
 }
 
@@ -426,269 +421,25 @@ bool HandleLine(ShellState& state, const std::string& line) {
     std::printf("membudget = %zu MiB%s\n", mb, mb == 0 ? " (none)" : "");
     return true;
   }
-  if (cmd == "session") {
-    std::istringstream ss(rest);
-    std::string sub;
-    if (!(ss >> sub)) {
-      Fail(state, "session",
-           "expected: limits|open|eval|stats|close|list|shard");
-      return true;
+  if (cmd == "serve") {
+    // One protocol request through the same Server::HandleLine bvqserve
+    // uses, so the shell cannot drift from the served grammar. Chunks from
+    // worker threads are collected and printed once every eval the request
+    // started has finished.
+    const std::string request(StripAsciiWhitespace(rest));
+    std::mutex mutex;
+    std::vector<std::string> chunks;
+    serve::Server& server = ServerRef(state);
+    server.HandleLine(request, [&](const std::string& chunk) {
+      std::lock_guard<std::mutex> lock(mutex);
+      chunks.push_back(chunk);
+    });
+    server.Drain();
+    for (const std::string& chunk : chunks) {
+      std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+      std::string detail;
+      if (ServedError(chunk, &detail)) Fail(state, "serve " + request, detail);
     }
-    if (sub == "limits") {
-      std::string agg_tok, conc_tok, wait_tok;
-      std::size_t agg_mb = 0, max_conc = 0, wait_ms = 0;
-      ss >> agg_tok >> conc_tok;
-      if (!ParseSizeT(agg_tok, &agg_mb) || !ParseSizeT(conc_tok, &max_conc) ||
-          (ss >> wait_tok && !ParseSizeT(wait_tok, &wait_ms))) {
-        Fail(state, "session " + std::string(TrimLeft(rest)),
-             "expected <aggregate-mb> <max-concurrent> [queue-wait-ms]");
-        return true;
-      }
-      serve::AdmissionOptions admission;
-      admission.aggregate_mem_budget_bytes = agg_mb << 20;
-      admission.max_concurrent_queries = max_conc;
-      admission.queue_wait_ms = wait_ms;
-      ServerRef(state).admission().Configure(admission);
-      std::printf(
-          "admission: aggregate %zu MiB, %zu concurrent, %zu ms queue wait\n",
-          agg_mb, max_conc, wait_ms);
-      return true;
-    }
-    if (sub == "open") {
-      std::string name;
-      if (!(ss >> name)) {
-        Fail(state, "session open", "missing session name");
-        return true;
-      }
-      // The session snapshots the shell's current database, k, evaluator
-      // options, and per-query limits; key=value arguments override.
-      serve::SessionOptions so;
-      so.num_vars = state.num_vars;
-      so.eval = state.options;
-      so.eval.governor = nullptr;
-      so.query_limits = state.limits;
-      std::string kv;
-      while (ss >> kv) {
-        const auto eq = kv.find('=');
-        std::size_t value = 0;
-        if (eq == std::string::npos ||
-            !ParseSizeT(std::string_view(kv).substr(eq + 1), &value)) {
-          Fail(state, "session open " + name,
-               "expected key=<number>, got '" + kv + "'");
-          return true;
-        }
-        const std::string key = kv.substr(0, eq);
-        if (key == "k") {
-          so.num_vars = value;
-        } else if (key == "threads") {
-          so.eval.num_threads = value;
-        } else if (key == "deadline-ms") {
-          so.query_limits.deadline_ms = value;
-        } else if (key == "mem-budget-mb") {
-          so.query_limits.mem_budget_bytes = value << 20;
-        } else if (key == "session-deadline-ms") {
-          so.session_limits.deadline_ms = value;
-        } else if (key == "session-mem-budget-mb") {
-          so.session_limits.mem_budget_bytes = value << 20;
-        } else if (key == "reserve-mb") {
-          so.admission_reserve_bytes = value << 20;
-        } else if (key == "cache") {
-          so.cross_query_cache = value != 0;
-        } else if (key == "cache-mb") {
-          so.cache_max_bytes = value << 20;
-        } else {
-          Fail(state, "session open " + name, "unknown option '" + kv + "'");
-          return true;
-        }
-      }
-      Status s = ServerRef(state).Open(name, so, state.db);
-      if (!s.ok()) {
-        Fail(state, "session open " + name, s);
-        return true;
-      }
-      std::printf("session %s open (k=%zu, domain %zu, %zu relations)\n",
-                  name.c_str(), so.num_vars, state.db.domain_size(),
-                  state.db.relations().size());
-      return true;
-    }
-    if (sub == "eval") {
-      std::string name;
-      if (!(ss >> name)) {
-        Fail(state, "session eval", "expected <session> <query>");
-        return true;
-      }
-      std::string query;
-      std::getline(ss, query);
-      const auto outcome = ServerRef(state).EvalSync(name, query);
-      if (outcome.status.ok()) {
-        std::fwrite(outcome.payload.data(), 1, outcome.payload.size(),
-                    stdout);
-        std::printf("  [%0.2f ms eval, %0.2f ms queued; session %s]\n",
-                    outcome.eval_ms, outcome.queue_wait_ms, name.c_str());
-      }
-      if (state.print_stats) PrintResourceStats(outcome.resource);
-      if (!outcome.status.ok()) {
-        Fail(state, "session eval " + name + query, outcome.status);
-      }
-      return true;
-    }
-    if (sub == "stats") {
-      std::string name;
-      ss >> name;  // optional
-      auto stats = ServerRef(state).StatsLine(name);
-      if (!stats.ok()) {
-        Fail(state, "session stats " + name, stats.status());
-        return true;
-      }
-      std::printf("%s\n", stats->c_str());
-      return true;
-    }
-    if (sub == "close") {
-      std::string name;
-      if (!(ss >> name)) {
-        Fail(state, "session close", "missing session name");
-        return true;
-      }
-      Status s = ServerRef(state).Close(name);
-      if (!s.ok()) {
-        Fail(state, "session close " + name, s);
-        return true;
-      }
-      std::printf("session %s closed\n", name.c_str());
-      return true;
-    }
-    if (sub == "list") {
-      const auto names = ServerRef(state).sessions().Names();
-      std::printf("%zu session(s)%s%s\n", names.size(),
-                  names.empty() ? "" : ": ",
-                  StrJoin(names, ", ").c_str());
-      return true;
-    }
-    if (sub == "shard") {
-      // Placement planning for `bvqserve --shards=n`: prints the shard each
-      // name hashes onto, using the router's own FNV-1a placement so the
-      // plan is exact, not a simulation.
-      std::string shards_tok;
-      std::size_t shards = 0;
-      if (!(ss >> shards_tok) || !ParseSizeT(shards_tok, &shards) ||
-          shards == 0) {
-        Fail(state, "session shard",
-             "expected <num-shards> <session-name>...");
-        return true;
-      }
-      std::vector<std::string> names;
-      std::string name;
-      while (ss >> name) names.push_back(name);
-      if (names.empty()) {
-        Fail(state, "session shard",
-             "expected <num-shards> <session-name>...");
-        return true;
-      }
-      std::vector<std::size_t> per_shard(shards, 0);
-      for (const auto& n : names) {
-        const std::size_t shard = serve::ShardForSession(n, shards);
-        ++per_shard[shard];
-        std::printf("%s -> shard %zu\n", n.c_str(), shard);
-      }
-      std::size_t used = 0;
-      for (std::size_t c : per_shard) used += c > 0 ? 1 : 0;
-      std::printf("%zu session(s) over %zu of %zu shard(s)\n", names.size(),
-                  used, shards);
-      return true;
-    }
-    Fail(state, "session " + sub,
-         "unknown subcommand (limits|open|eval|stats|close|list|shard)");
-    return true;
-  }
-  if (cmd == "batch") {
-    std::istringstream bs(rest);
-    std::string name, sub;
-    if (!(bs >> name) || !(bs >> sub)) {
-      Fail(state, "batch", "expected: batch <session> begin|eval|end");
-      return true;
-    }
-    if (sub == "begin") {
-      Status s = ServerRef(state).BatchBegin(name);
-      if (!s.ok()) {
-        Fail(state, "batch " + name + " begin", s);
-        return true;
-      }
-      state.batch_queries[name].clear();
-      std::printf("batch %s: collecting\n", name.c_str());
-      return true;
-    }
-    if (sub == "eval") {
-      std::string query;
-      std::getline(bs, query);
-      auto id = ServerRef(state).BatchAdd(name, query);
-      if (!id.ok()) {
-        Fail(state, "batch " + name + " eval" + query, id.status());
-        return true;
-      }
-      state.batch_queries[name].emplace_back(*id, query);
-      std::printf("batch %s: %zu quer%s collected\n", name.c_str(),
-                  state.batch_queries[name].size(),
-                  state.batch_queries[name].size() == 1 ? "y" : "ies");
-      return true;
-    }
-    if (sub == "end") {
-      std::vector<std::pair<std::uint64_t, std::string>> queries;
-      const auto bit = state.batch_queries.find(name);
-      if (bit != state.batch_queries.end()) {
-        queries = std::move(bit->second);
-        state.batch_queries.erase(bit);
-      }
-      // Completions arrive from worker threads in any order; collect them
-      // by id and print in submission order once every query reported.
-      struct Collector {
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::map<std::uint64_t, serve::EvalOutcome> outcomes;
-      };
-      auto collector = std::make_shared<Collector>();
-      const auto start = now();
-      auto stats = ServerRef(state).BatchEnd(
-          name, [collector](const serve::EvalOutcome& outcome) {
-            {
-              std::lock_guard<std::mutex> lock(collector->mutex);
-              collector->outcomes[outcome.id] = outcome;
-            }
-            collector->cv.notify_all();
-          });
-      if (!stats.ok()) {
-        Fail(state, "batch " + name + " end", stats.status());
-        return true;
-      }
-      {
-        std::unique_lock<std::mutex> lock(collector->mutex);
-        collector->cv.wait(lock, [&] {
-          return collector->outcomes.size() >= queries.size();
-        });
-      }
-      const auto stop = now();
-      for (const auto& [id, query] : queries) {
-        const serve::EvalOutcome& outcome = collector->outcomes[id];
-        if (outcome.status.ok()) {
-          std::fwrite(outcome.payload.data(), 1, outcome.payload.size(),
-                      stdout);
-          std::printf("  [%0.2f ms eval, %0.2f ms queued; session %s]\n",
-                      outcome.eval_ms, outcome.queue_wait_ms, name.c_str());
-        } else {
-          Fail(state, "batch " + name + " eval" + query, outcome.status);
-        }
-      }
-      // Bracketed like the timing counters so determinism filters that
-      // drop "  [" lines compare payloads only.
-      std::printf(
-          "  [batch: %zu queries, %zu nodes (%zu shared, %zu materialized), "
-          "%zu stages, dedup %0.2f; %0.2f ms]\n",
-          stats->queries, stats->nodes, stats->shared_nodes,
-          stats->materialized, stats->stages, stats->dedup_ratio,
-          ms(start, stop));
-      return true;
-    }
-    Fail(state, "batch " + name + " " + sub,
-         "unknown subcommand (begin|eval|end)");
     return true;
   }
   if (cmd == "source") {

@@ -22,17 +22,14 @@
 # remote cancellation, and a shutdown that must leak neither sessions nor
 # reserved admission bytes.
 #
-# Every tier also runs the sharded serving smoke (see shard_smoke below):
-# a 2-shard bvqserve router fork/execs real worker processes, splits the
-# admission budget across the fleet, and must reject an over-reserving
-# session on its own shard while sessions on both shards keep serving.
-#
 # Every tier also runs the batch-planner smoke (see batch_smoke below): an
 # 8-query overlapping batch through bvqserve must report dedup > 1 on its
 # `ok batch ... end` line and answer every query byte-identically to a
-# cache-off serial run of the same queries — both direct and through a
-# 2-shard router (batches are session-affine, so routing must not change a
-# single byte).
+# cache-off serial run of the same queries.
+#
+# Every tier also runs the cross-query cache smoke and the restart-prewarm
+# smoke (tools/cache_persist_test.sh: quit/restart, corrupted snapshot, and
+# kill -9 after a drain).
 
 set -euo pipefail
 
@@ -156,72 +153,14 @@ serve_smoke() {
   rm -rf "$tmp"
 }
 
-# Sharded serving smoke: a 2-shard router (fork/exec of real worker
-# processes) with the aggregate budget split across the fleet. Sessions land
-# on both shards (FNV-1a placement: s0,s2 → shard 0; s1,s3,big → shard 1);
-# the over-reserving session must be rejected by its own shard's budget
-# while every other session — including the ones sharing its shard — keeps
-# serving, the consolidated stats must report a clean fleet-wide zero after
-# the closes, and the router must exit 0 (clean worker shutdown, no hang).
-shard_smoke() {
-  local bvqserve="$1/tools/bvqserve" tmp rc=0 s i
-  tmp=$(mktemp -d)
-  echo "== sharded serving smoke ($bvqserve) =="
-  { printf 'domain 10\nrel E/2'
-    for ((i = 0; i < 10; i++)); do printf ' %d %d ;' "$i" "$(((i + 1) % 10))"; done
-    printf '\n'; } > "$tmp/cycle.bvq"
-  {
-    for ((s = 0; s < 4; s++)); do
-      printf 'open s%d k=3 reserve-mb=16\n' "$s"
-      printf 'load s%d %s/cycle.bvq\n' "$s" "$tmp"
-    done
-    printf 'open big k=3 reserve-mb=512\n'
-    for ((s = 0; s < 4; s++)); do
-      printf 'eval %d s%d (x1,x2) [lfp T(x1,x2) . E(x1,x2) | exists x3 . (E(x1,x3) & exists x1 . (x1 = x3 & T(x1,x2)))](x1,x2)\n' \
-          "$((s + 1))" "$s"
-    done
-    printf 'eval 100 big (x1,x2) E(x1,x2)\n'
-    printf 'drain\n'
-    for ((s = 0; s < 4; s++)); do printf 'close s%d\n' "$s"; done
-    printf 'close big\nstats\nquit\n'
-  } > "$tmp/script.bvqserve"
-  "$bvqserve" --shards=2 --aggregate-mb=64 --max-concurrent=8 \
-      "$tmp/script.bvqserve" > "$tmp/out" 2>&1 || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "shard smoke: bvqserve exited with $rc" >&2
-    cat "$tmp/out" >&2; exit 1
-  fi
-  for ((s = 1; s <= 4; s++)); do
-    if ! grep -q "^result $s ok$" "$tmp/out"; then
-      echo "shard smoke: eval $s did not complete ok" >&2
-      cat "$tmp/out" >&2; exit 1
-    fi
-  done
-  if ! grep -q "^result 100 error ResourceExhausted$" "$tmp/out"; then
-    echo "shard smoke: over-budget reserve was not rejected by its shard" >&2
-    cat "$tmp/out" >&2; exit 1
-  fi
-  if ! grep -q "^stats sessions=0 active=0 queue=0 reserved_bytes=0 " "$tmp/out"; then
-    echo "shard smoke: shutdown leaked sessions or admission budget" >&2
-    cat "$tmp/out" >&2; exit 1
-  fi
-  if ! grep -q " shards=2 up=2$" "$tmp/out"; then
-    echo "shard smoke: consolidated stats missing shards=2 up=2" >&2
-    cat "$tmp/out" >&2; exit 1
-  fi
-  echo "   2-shard router ok, per-shard rejection clean, fleet stats zeroed"
-  rm -rf "$tmp"
-}
-
 # Batch-planner smoke: 8 overlapping queries (two structural shapes built
 # around one shared path subformula, repeated) go through `batch begin /
 # eval / end` on one bvqserve session. The `ok batch ... end` summary must
 # report a dedup ratio strictly above 1 — the planner found the sharing —
 # and every per-id result block must be byte-identical to a cache-off
-# serial run of the same queries, both against the server directly and
-# through a 2-shard router (batches are session-affine).
+# serial run of the same queries.
 batch_smoke() {
-  local bvqserve="$1/tools/bvqserve" tmp rc=0 i dedup mode
+  local bvqserve="$1/tools/bvqserve" tmp rc=0 i dedup
   local qa='(x1,x2) exists x3 . (E(x1,x3) & E(x3,x2))'
   local qb='(x1,x2) exists x3 . (E(x1,x3) & E(x3,x2)) | E(x1,x2)'
   tmp=$(mktemp -d)
@@ -263,44 +202,37 @@ batch_smoke() {
     awk -v id="$2" '$0 == "end " id {p=0} p {print} $0 == "result " id " ok" {p=1}' \
         "$1"
   }
-  for mode in direct routed; do
-    rc=0
-    if [[ $mode == direct ]]; then
-      "$bvqserve" "$tmp/batch.bvqserve" > "$tmp/batch.out" 2>&1 || rc=$?
-    else
-      "$bvqserve" --shards=2 "$tmp/batch.bvqserve" > "$tmp/batch.out" 2>&1 || rc=$?
-    fi
-    if [[ $rc -ne 0 ]]; then
-      echo "batch smoke ($mode): bvqserve exited with $rc" >&2
+  "$bvqserve" "$tmp/batch.bvqserve" > "$tmp/batch.out" 2>&1 || rc=$?
+  if [[ $rc -ne 0 ]]; then
+    echo "batch smoke: bvqserve exited with $rc" >&2
+    cat "$tmp/batch.out" >&2; exit 1
+  fi
+  dedup=$(awk '/^ok batch b end /{
+      for (i = 1; i <= NF; i++)
+        if ($i ~ /^dedup=/) { sub(/^dedup=/, "", $i); print $i }
+    }' "$tmp/batch.out")
+  if [[ -z "$dedup" ]]; then
+    echo "batch smoke: no ok batch ... end summary line" >&2
+    cat "$tmp/batch.out" >&2; exit 1
+  fi
+  if ! awk -v d="$dedup" 'BEGIN { exit !(d > 1.0) }'; then
+    echo "batch smoke: dedup ratio $dedup is not > 1" >&2
+    cat "$tmp/batch.out" >&2; exit 1
+  fi
+  for ((i = 1; i <= 8; i++)); do
+    if ! grep -q "^result $i ok$" "$tmp/batch.out"; then
+      echo "batch smoke: batched query $i did not complete ok" >&2
       cat "$tmp/batch.out" >&2; exit 1
     fi
-    dedup=$(awk '/^ok batch b end /{
-        for (i = 1; i <= NF; i++)
-          if ($i ~ /^dedup=/) { sub(/^dedup=/, "", $i); print $i }
-      }' "$tmp/batch.out")
-    if [[ -z "$dedup" ]]; then
-      echo "batch smoke ($mode): no ok batch ... end summary line" >&2
-      cat "$tmp/batch.out" >&2; exit 1
+    if [[ "$(payload "$tmp/batch.out" $i)" != \
+          "$(payload "$tmp/serial.out" $i)" ]]; then
+      echo "batch smoke: query $i differs from the serial run" >&2
+      diff <(payload "$tmp/serial.out" $i) \
+           <(payload "$tmp/batch.out" $i) >&2 || true
+      exit 1
     fi
-    if ! awk -v d="$dedup" 'BEGIN { exit !(d > 1.0) }'; then
-      echo "batch smoke ($mode): dedup ratio $dedup is not > 1" >&2
-      cat "$tmp/batch.out" >&2; exit 1
-    fi
-    for ((i = 1; i <= 8; i++)); do
-      if ! grep -q "^result $i ok$" "$tmp/batch.out"; then
-        echo "batch smoke ($mode): batched query $i did not complete ok" >&2
-        cat "$tmp/batch.out" >&2; exit 1
-      fi
-      if [[ "$(payload "$tmp/batch.out" $i)" != \
-            "$(payload "$tmp/serial.out" $i)" ]]; then
-        echo "batch smoke ($mode): query $i differs from the serial run" >&2
-        diff <(payload "$tmp/serial.out" $i) \
-             <(payload "$tmp/batch.out" $i) >&2 || true
-        exit 1
-      fi
-    done
-    echo "   $mode: 8-query batch dedup=$dedup, byte-identical to serial"
   done
+  echo "   8-query batch dedup=$dedup, byte-identical to serial"
   rm -rf "$tmp"
 }
 
@@ -382,93 +314,16 @@ cache_smoke() {
   rm -rf "$tmp"
 }
 
-# Restart-prewarm smoke. Part 1 (single process) reuses
-# tools/cache_persist_test.sh: serve → snapshot on quit → restart →
-# byte-identical replies with cache hits, and a corrupted snapshot degrades
-# to a cold start. Part 2 (crash path): kill -9 both workers of a 2-shard
-# router mid-session; the respawned workers get the same --cache-dir, the
-# re-opened sessions prewarm from the snapshots the preceding drain wrote,
-# and the first post-restart evals answer byte-identically with nonzero
-# cache hits.
+# Restart-prewarm smoke: tools/cache_persist_test.sh (also the
+# bvqserve_cache_persist ctest) against this tier's binary. Serve, snapshot
+# on quit, restart: byte-identical replies with cache hits; a corrupted
+# snapshot degrades to a cold start; and after kill -9 following a drain,
+# a restart on the same --cache-dir answers byte-identically with hits.
 persist_smoke() {
-  local bvqserve="$1/tools/bvqserve" tmp rc=0 i router kids
-  local tc='(x1,x2) [lfp T(x1,x2) . E(x1,x2) | exists x3 . (E(x1,x3) & exists x1 . (x1 = x3 & T(x1,x2)))](x1,x2)'
+  local bvqserve="$1/tools/bvqserve"
   echo "== restart-prewarm smoke ($bvqserve) =="
   "$ROOT/tools/cache_persist_test.sh" "$bvqserve"
-  echo "   single-process restart round trip ok (incl. corrupted snapshot)"
-
-  tmp=$(mktemp -d)
-  mkdir "$tmp/cache"
-  { printf 'domain 10\nrel E/2'
-    for ((i = 0; i < 10; i++)); do printf ' %d %d ;' "$i" "$(((i + 1) % 10))"; done
-    printf '\n'; } > "$tmp/cycle.bvq"
-  mkfifo "$tmp/ctl"
-  "$bvqserve" --shards=2 --cache-dir="$tmp/cache" "$tmp/ctl" \
-      > "$tmp/out" 2> "$tmp/err" &
-  router=$!
-  exec 9> "$tmp/ctl"
-  printf 'open s0 k=3\nopen s1 k=3\n' >&9
-  printf 'load s0 %s/cycle.bvq\nload s1 %s/cycle.bvq\n' "$tmp" "$tmp" >&9
-  printf 'eval 1 s0 %s\neval 2 s1 %s\n' "$tc" "$tc" >&9
-  printf 'drain\n' >&9  # barrier: evals done, every session snapshotted
-  for ((i = 0; i < 300; i++)); do
-    if grep -q '^result 1 ok$' "$tmp/out" && \
-       grep -q '^result 2 ok$' "$tmp/out" && \
-       [[ -s "$tmp/cache/s0.bvqcache" && -s "$tmp/cache/s1.bvqcache" ]]; then
-      break
-    fi
-    sleep 0.1
-  done
-  if [[ ! -s "$tmp/cache/s0.bvqcache" || ! -s "$tmp/cache/s1.bvqcache" ]]; then
-    echo "persist smoke: drain left no snapshots" >&2
-    cat "$tmp/out" "$tmp/err" >&2; exit 1
-  fi
-
-  kids=$(cat "/proc/$router/task/$router/children")
-  if [[ -z "$kids" ]]; then
-    echo "persist smoke: no worker processes found to kill" >&2; exit 1
-  fi
-  kill -9 $kids
-  for ((i = 0; i < 300; i++)); do
-    [[ "$(grep -c 'restarted' "$tmp/err" || true)" -ge 2 ]] && break
-    sleep 0.1
-  done
-  if [[ "$(grep -c 'restarted' "$tmp/err" || true)" -lt 2 ]]; then
-    echo "persist smoke: workers were not respawned after kill -9" >&2
-    cat "$tmp/err" >&2; exit 1
-  fi
-
-  # The crashed workers took their sessions with them (a respawned empty
-  # worker must never silently serve a re-homed session); re-opening
-  # prewarms each session from its snapshot.
-  printf 'open s0 k=3\nopen s1 k=3\n' >&9
-  printf 'load s0 %s/cycle.bvq\nload s1 %s/cycle.bvq\n' "$tmp" "$tmp" >&9
-  printf 'eval 3 s0 %s\neval 4 s1 %s\n' "$tc" "$tc" >&9
-  printf 'drain\nstats s0\nstats s1\nquit\n' >&9
-  exec 9>&-
-  wait "$router" || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "persist smoke: router exited with $rc" >&2
-    cat "$tmp/out" "$tmp/err" >&2; exit 1
-  fi
-  payload() {
-    awk -v id="$1" '$0 == "end " id {p=0} p {print} $0 == "result " id " ok" {p=1}' \
-        "$tmp/out"
-  }
-  if [[ -z "$(payload 1)" || -z "$(payload 3)" ]]; then
-    echo "persist smoke: missing result payloads" >&2
-    cat "$tmp/out" >&2; exit 1
-  fi
-  if [[ "$(payload 1)" != "$(payload 3)" || "$(payload 2)" != "$(payload 4)" ]]; then
-    echo "persist smoke: post-restart answers differ from pre-crash" >&2
-    cat "$tmp/out" >&2; exit 1
-  fi
-  if [[ "$(grep -c ' cache_hits=[1-9]' "$tmp/out" || true)" -lt 2 ]]; then
-    echo "persist smoke: restarted workers served no cache hits" >&2
-    cat "$tmp/out" >&2; exit 1
-  fi
-  echo "   crash-restarted workers prewarmed: byte-identical, hits counted"
-  rm -rf "$tmp"
+  echo "   restart round trips ok (quit, corrupted snapshot, kill -9)"
 }
 
 run_plain=1
@@ -479,7 +334,7 @@ case "${1:-}" in
   --plain-only) run_tsan=0; run_asan=0 ;;
   --asan-only) run_plain=0; run_tsan=0 ;;
   --list)
-    echo "plain  build + ctest + bench/serve/shard/cache/persist/batch smokes"
+    echo "plain  build + ctest + bench/serve/batch/cache/persist smokes"
     echo "tsan   the same under -DBVQ_SANITIZE=thread, BVQ_THREADS=4"
     echo "asan   the same under -DBVQ_SANITIZE=address,undefined"
     exit 0 ;;
@@ -501,7 +356,6 @@ if [[ $run_plain -eq 1 ]]; then
       --out="$ROOT/build/BENCH_eso_smoke.json"
   resource_smoke "$ROOT/build"
   serve_smoke "$ROOT/build"
-  shard_smoke "$ROOT/build"
   batch_smoke "$ROOT/build"
   cache_smoke "$ROOT/build"
   persist_smoke "$ROOT/build"
@@ -514,7 +368,6 @@ if [[ $run_tsan -eq 1 ]]; then
   (cd "$ROOT/build-tsan" && BVQ_THREADS=4 ctest --output-on-failure -j"$(nproc)")
   BVQ_THREADS=4 resource_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 serve_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 shard_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 batch_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 cache_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 persist_smoke "$ROOT/build-tsan"
@@ -530,7 +383,6 @@ if [[ $run_asan -eq 1 ]]; then
       --out="$ROOT/build-asan/BENCH_eso_smoke.json"
   resource_smoke "$ROOT/build-asan"
   serve_smoke "$ROOT/build-asan"
-  shard_smoke "$ROOT/build-asan"
   batch_smoke "$ROOT/build-asan"
   cache_smoke "$ROOT/build-asan"
   persist_smoke "$ROOT/build-asan"
