@@ -3,9 +3,9 @@
 // google/benchmark rejects flags it does not recognise, so BVQ_BENCHMARK_MAIN
 // strips --threads=N and --memo=0|1 out of argv before handing the rest to
 // the library and records the values for EvalOptions(). The default of 1
-// thread runs the exact legacy serial path, so existing series remain
-// comparable; pass --threads=0 for auto (hardware concurrency) or an
-// explicit worker count. --memo=0 disables the dependency-aware subformula
+// thread creates no pool and runs every kernel inline on the calling
+// thread; pass --threads=0 for auto (hardware concurrency) or an explicit
+// worker count. --memo=0 disables the dependency-aware subformula
 // memo (the ablation switch; default on). Results are byte-identical for
 // every combination (see DESIGN.md, "Threading model & determinism" and
 // "Memoization & invariant hoisting") — only the timings move.

@@ -52,7 +52,9 @@ struct ThreadPoolStats {
 ///
 /// The pool spawns num_threads - 1 workers; the thread calling ParallelFor
 /// participates as the num_threads-th lane. num_threads == 1 therefore
-/// spawns nothing and runs every chunk inline.
+/// spawns nothing and runs every chunk inline. Kernels do not call
+/// ParallelFor directly: they go through PlanChunks below, which also
+/// covers the no-pool case.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -128,6 +130,50 @@ class ThreadPool {
   std::atomic<std::size_t> stat_chunks_{0};
   std::atomic<std::size_t> stat_stolen_{0};
 };
+
+/// Input sizes below which a sweep runs as one inline chunk even when a
+/// pool is supplied. The floors are only a scheduling choice (dispatch
+/// overhead dominates below them): every kernel runs the same loop body
+/// either way, so outputs do not depend on them.
+inline constexpr std::size_t kMinParallelBits = 4096;  // assignment-cube bits
+inline constexpr std::size_t kMinParallelRows = 256;   // relation rows
+
+/// How one data-parallel sweep over [0, total) is cut into chunks. Every
+/// kernel has exactly one loop body, written against
+/// fn(chunk_index, begin, end); the serial case is that body run over the
+/// single chunk [0, total) on the calling thread (pool == nullptr), which
+/// spawns, dispatches and allocates nothing.
+struct ChunkPlan {
+  ThreadPool* pool = nullptr;  // null: one inline chunk
+  std::size_t total = 0;
+  std::size_t grain = 1;
+
+  std::size_t num_chunks() const {
+    return ThreadPool::NumChunks(total, grain);
+  }
+
+  template <typename Fn>
+  void Run(const Fn& fn) const {
+    if (pool != nullptr) {
+      pool->ParallelFor(total, grain, fn);
+    } else if (total > 0) {
+      fn(std::size_t{0}, std::size_t{0}, total);
+    }
+  }
+};
+
+/// The one fan-out decision for data-parallel kernels. A sweep over `total`
+/// items fans out over `pool` in chunks of grain(total, num_threads) only
+/// when the pool exists, has more than one thread, and the input measure
+/// `size` reaches `floor`; otherwise it is one inline chunk.
+template <typename GrainFn>
+ChunkPlan PlanChunks(ThreadPool* pool, std::size_t total, std::size_t size,
+                     std::size_t floor, GrainFn grain) {
+  if (pool == nullptr || pool->num_threads() <= 1 || size < floor) {
+    return {nullptr, total, total == 0 ? 1 : total};
+  }
+  return {pool, total, grain(total, pool->num_threads())};
+}
 
 /// A word-aligned grain for bitset sweeps: splits `total` bit positions into
 /// roughly 4 chunks per thread, rounded up to a multiple of 64 so chunks

@@ -64,13 +64,13 @@ class AssignmentSet {
   /// `var` is in the set. The quantified coordinate becomes "don't care"
   /// (cylindrified), so the result is still a subset of D^k.
   ///
-  /// All kernels taking a `pool` run the exact single-threaded legacy loop
-  /// when pool is null (or has one thread, or the cube is small) and an
-  /// equivalent chunked parallel sweep otherwise. Parallel outputs are
-  /// byte-identical to the serial ones: chunks either own disjoint
-  /// word-aligned spans of the output bitset or fill private shards that
-  /// are merged in chunk-index order (see DESIGN.md, "Threading model &
-  /// determinism").
+  /// Every kernel taking a `pool` has one loop body. With a null pool, a
+  /// one-thread pool, or a cube below kMinParallelBits, that body runs as
+  /// one inline chunk on the calling thread; otherwise the chunks fan out
+  /// over the pool. Outputs are byte-identical for every thread count:
+  /// chunks either own disjoint word-aligned spans of the output bitset or
+  /// fill private shards that are merged in chunk-index order (see
+  /// DESIGN.md, "Threading model & determinism").
   AssignmentSet ExistsVar(std::size_t var, ThreadPool* pool = nullptr) const;
   /// Universal quantification over `var` (the dual of ExistsVar).
   AssignmentSet ForAllVar(std::size_t var, ThreadPool* pool = nullptr) const;

@@ -71,33 +71,27 @@ KeyIndex BuildIndex(const Relation& rel,
   return index;
 }
 
-// Inputs below this many rows are processed serially even when a pool is
-// supplied: the differential-fuzz instances are tiny and should keep
-// exercising the legacy loops, and dispatch overhead dominates anyway.
-constexpr std::size_t kMinParallelRows = 256;
-
-bool UsePool(ThreadPool* pool, std::size_t rows) {
-  return pool != nullptr && pool->num_threads() > 1 &&
-         rows >= kMinParallelRows;
-}
-
-// Runs fn(begin, end, &buffer) over row chunks of [0, rows); fn appends
-// whole output rows (out_arity values each) to its chunk's private buffer.
-// Buffers are concatenated in chunk-index order and canonicalized by
-// Build(), so the result is byte-identical to a serial left-to-right sweep.
-template <typename ChunkFn>
+// Runs fill(begin, end, &builder) over row chunks of [0, rows); fill adds
+// whole output rows to its chunk's builder. Without a pool, or below
+// kMinParallelRows, the sweep is one inline chunk filling the output
+// builder directly; fanned-out chunks fill private builders appended in
+// chunk-index order. Build() canonicalizes (sorts and dedups) either way,
+// so the result is byte-identical for every thread count.
+template <typename Fill>
 Relation ParallelRows(ThreadPool* pool, std::size_t rows,
-                      std::size_t out_arity, ChunkFn&& fn) {
-  const std::size_t grain = RowGrain(rows, pool->num_threads(), 64);
-  std::vector<std::vector<Value>> buffers(ThreadPool::NumChunks(rows, grain));
-  pool->ParallelFor(rows, grain,
-                    [&](std::size_t chunk, std::size_t begin,
-                        std::size_t end) { fn(begin, end, &buffers[chunk]); });
-  RelationBuilder out(out_arity);
-  for (const std::vector<Value>& buf : buffers) {
-    out.AddFlat(buf.data(), buf.size() / out_arity);
-  }
-  return out.Build();
+                      std::size_t out_arity, const Fill& fill) {
+  const ChunkPlan plan = PlanChunks(
+      pool, rows, rows, kMinParallelRows,
+      [](std::size_t total, std::size_t threads) {
+        return RowGrain(total, threads, 64);
+      });
+  std::vector<RelationBuilder> parts(
+      std::max<std::size_t>(1, plan.num_chunks()), RelationBuilder(out_arity));
+  plan.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
+    fill(begin, end, &parts[chunk]);
+  });
+  for (std::size_t c = 1; c < parts.size(); ++c) parts[0].Append(parts[c]);
+  return parts[0].Build();
 }
 
 }  // namespace
@@ -129,48 +123,27 @@ VarRelation Join(const VarRelation& a, const VarRelation& b,
   }
 
   KeyIndex index = BuildIndex(b.rel, b_key);
-  if (UsePool(pool, a.rel.size()) && !out_vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), out_vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> key(a_key.size());
-          std::vector<Value> row(out_vars.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a_key.size(); ++j) {
-              key[j] = ra[a_key[j]];
+  Relation rel = ParallelRows(
+      pool, a.rel.size(), out_vars.size(),
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> key(a_key.size());
+        std::vector<Value> row(out_vars.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          const Value* ra = a.rel.tuple(i);
+          for (std::size_t j = 0; j < a_key.size(); ++j) key[j] = ra[a_key[j]];
+          auto it = index.find(key);
+          if (it == index.end()) continue;
+          for (std::size_t bi : it->second) {
+            const Value* rb = b.rel.tuple(bi);
+            for (std::size_t c = 0; c < sources.size(); ++c) {
+              row[c] =
+                  sources[c].from_a ? ra[sources[c].col] : rb[sources[c].col];
             }
-            auto it = index.find(key);
-            if (it == index.end()) continue;
-            for (std::size_t bi : it->second) {
-              const Value* rb = b.rel.tuple(bi);
-              for (std::size_t c = 0; c < sources.size(); ++c) {
-                row[c] =
-                    sources[c].from_a ? ra[sources[c].col] : rb[sources[c].col];
-              }
-              buf->insert(buf->end(), row.begin(), row.end());
-            }
+            out->Add(row.data());
           }
-        });
-    return {out_vars, std::move(rel)};
-  }
-  RelationBuilder out(out_vars.size());
-  std::vector<Value> key(a_key.size());
-  std::vector<Value> row(out_vars.size());
-  for (std::size_t i = 0; i < a.rel.size(); ++i) {
-    const Value* ra = a.rel.tuple(i);
-    for (std::size_t j = 0; j < a_key.size(); ++j) key[j] = ra[a_key[j]];
-    auto it = index.find(key);
-    if (it == index.end()) continue;
-    for (std::size_t bi : it->second) {
-      const Value* rb = b.rel.tuple(bi);
-      for (std::size_t c = 0; c < sources.size(); ++c) {
-        row[c] = sources[c].from_a ? ra[sources[c].col] : rb[sources[c].col];
-      }
-      out.Add(row.data());
-    }
-  }
-  return {out_vars, out.Build()};
+        }
+      });
+  return {out_vars, std::move(rel)};
 }
 
 VarRelation Semijoin(const VarRelation& a, const VarRelation& b,
@@ -179,29 +152,17 @@ VarRelation Semijoin(const VarRelation& a, const VarRelation& b,
   const std::vector<std::size_t> a_key = PositionsOf(a.vars, shared);
   const std::vector<std::size_t> b_key = PositionsOf(b.vars, shared);
   KeyIndex index = BuildIndex(b.rel, b_key);
-  if (UsePool(pool, a.rel.size()) && !a.vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), a.vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> key(a_key.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a_key.size(); ++j) {
-              key[j] = ra[a_key[j]];
-            }
-            if (index.count(key)) buf->insert(buf->end(), ra, ra + a.vars.size());
-          }
-        });
-    return {a.vars, std::move(rel)};
-  }
-  RelationBuilder out(a.vars.size());
-  std::vector<Value> key(a_key.size());
-  for (std::size_t i = 0; i < a.rel.size(); ++i) {
-    const Value* ra = a.rel.tuple(i);
-    for (std::size_t j = 0; j < a_key.size(); ++j) key[j] = ra[a_key[j]];
-    if (index.count(key)) out.Add(ra);
-  }
-  return {a.vars, out.Build()};
+  Relation rel = ParallelRows(
+      pool, a.rel.size(), a.vars.size(),
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> key(a_key.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          const Value* ra = a.rel.tuple(i);
+          for (std::size_t j = 0; j < a_key.size(); ++j) key[j] = ra[a_key[j]];
+          if (index.count(key)) out->Add(ra);
+        }
+      });
+  return {a.vars, std::move(rel)};
 }
 
 VarRelation Antijoin(const VarRelation& a, const VarRelation& b,
@@ -210,31 +171,17 @@ VarRelation Antijoin(const VarRelation& a, const VarRelation& b,
   const std::vector<std::size_t> a_key = PositionsOf(a.vars, shared);
   const std::vector<std::size_t> b_key = PositionsOf(b.vars, shared);
   KeyIndex index = BuildIndex(b.rel, b_key);
-  if (UsePool(pool, a.rel.size()) && !a.vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), a.vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> key(a_key.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a_key.size(); ++j) {
-              key[j] = ra[a_key[j]];
-            }
-            if (!index.count(key)) {
-              buf->insert(buf->end(), ra, ra + a.vars.size());
-            }
-          }
-        });
-    return {a.vars, std::move(rel)};
-  }
-  RelationBuilder out(a.vars.size());
-  std::vector<Value> key(a_key.size());
-  for (std::size_t i = 0; i < a.rel.size(); ++i) {
-    const Value* ra = a.rel.tuple(i);
-    for (std::size_t j = 0; j < a_key.size(); ++j) key[j] = ra[a_key[j]];
-    if (!index.count(key)) out.Add(ra);
-  }
-  return {a.vars, out.Build()};
+  Relation rel = ParallelRows(
+      pool, a.rel.size(), a.vars.size(),
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> key(a_key.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          const Value* ra = a.rel.tuple(i);
+          for (std::size_t j = 0; j < a_key.size(); ++j) key[j] = ra[a_key[j]];
+          if (!index.count(key)) out->Add(ra);
+        }
+      });
+  return {a.vars, std::move(rel)};
 }
 
 Result<VarRelation> ExtendTo(const VarRelation& a,
@@ -272,45 +219,26 @@ Result<VarRelation> ExtendTo(const VarRelation& a,
         StrCat("ExtendTo over ", vars.size(), " variables with |D|=",
                domain_size, " overflows the size type"));
   }
-  if (UsePool(pool, a.rel.size()) && !vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> row(vars.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* ra = a.rel.tuple(i);
-            for (std::size_t c = 0; c < from.size(); ++c) {
-              if (from[c] >= 0) row[c] = ra[from[c]];
-            }
-            for (std::size_t combo = 0; combo < combos; ++combo) {
-              std::size_t rem = combo;
-              for (std::size_t f = 0; f < num_free; ++f) {
-                row[free_pos[f]] = static_cast<Value>(rem % domain_size);
-                rem /= domain_size;
-              }
-              buf->insert(buf->end(), row.begin(), row.end());
-            }
+  Relation rel = ParallelRows(
+      pool, a.rel.size(), vars.size(),
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> row(vars.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          const Value* ra = a.rel.tuple(i);
+          for (std::size_t c = 0; c < from.size(); ++c) {
+            if (from[c] >= 0) row[c] = ra[from[c]];
           }
-        });
-    return VarRelation{vars, std::move(rel)};
-  }
-  RelationBuilder out(vars.size());
-  std::vector<Value> row(vars.size());
-  for (std::size_t i = 0; i < a.rel.size(); ++i) {
-    const Value* ra = a.rel.tuple(i);
-    for (std::size_t c = 0; c < from.size(); ++c) {
-      if (from[c] >= 0) row[c] = ra[from[c]];
-    }
-    for (std::size_t combo = 0; combo < combos; ++combo) {
-      std::size_t rem = combo;
-      for (std::size_t f = 0; f < num_free; ++f) {
-        row[free_pos[f]] = static_cast<Value>(rem % domain_size);
-        rem /= domain_size;
-      }
-      out.Add(row.data());
-    }
-  }
-  return VarRelation{vars, out.Build()};
+          for (std::size_t combo = 0; combo < combos; ++combo) {
+            std::size_t rem = combo;
+            for (std::size_t f = 0; f < num_free; ++f) {
+              row[free_pos[f]] = static_cast<Value>(rem % domain_size);
+              rem /= domain_size;
+            }
+            out->Add(row.data());
+          }
+        }
+      });
+  return VarRelation{vars, std::move(rel)};
 }
 
 Result<VarRelation> Union(const VarRelation& a, const VarRelation& b,
@@ -340,35 +268,20 @@ Result<VarRelation> Complement(const VarRelation& a, std::size_t domain_size,
         StrCat("Complement within D^", arity, " with |D|=", domain_size,
                " overflows the size type"));
   }
-  if (UsePool(pool, total)) {
-    Relation rel = ParallelRows(
-        pool, total, arity,
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> row(arity, 0);
-          for (std::size_t rank = begin; rank < end; ++rank) {
-            std::size_t rem = rank;
-            for (std::size_t j = 0; j < arity; ++j) {
-              row[j] = static_cast<Value>(rem % domain_size);
-              rem /= domain_size;
-            }
-            if (!a.rel.Contains(row.data())) {
-              buf->insert(buf->end(), row.begin(), row.end());
-            }
+  Relation rel = ParallelRows(
+      pool, total, arity,
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> row(arity, 0);
+        for (std::size_t rank = begin; rank < end; ++rank) {
+          std::size_t rem = rank;
+          for (std::size_t j = 0; j < arity; ++j) {
+            row[j] = static_cast<Value>(rem % domain_size);
+            rem /= domain_size;
           }
-        });
-    return VarRelation{a.vars, std::move(rel)};
-  }
-  RelationBuilder out(arity);
-  std::vector<Value> row(arity, 0);
-  for (std::size_t rank = 0; rank < total; ++rank) {
-    std::size_t rem = rank;
-    for (std::size_t j = 0; j < arity; ++j) {
-      row[j] = static_cast<Value>(rem % domain_size);
-      rem /= domain_size;
-    }
-    if (!a.rel.Contains(row.data())) out.Add(row.data());
-  }
-  return VarRelation{a.vars, out.Build()};
+          if (!a.rel.Contains(row.data())) out->Add(row.data());
+        }
+      });
+  return VarRelation{a.vars, std::move(rel)};
 }
 
 VarRelation ProjectOut(const VarRelation& a, std::size_t var,
@@ -378,30 +291,20 @@ VarRelation ProjectOut(const VarRelation& a, std::size_t var,
   const std::size_t drop = static_cast<std::size_t>(it - a.vars.begin());
   std::vector<std::size_t> out_vars = a.vars;
   out_vars.erase(out_vars.begin() + static_cast<std::ptrdiff_t>(drop));
-  if (UsePool(pool, a.rel.size()) && !out_vars.empty()) {
-    Relation rel = ParallelRows(
-        pool, a.rel.size(), out_vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* t = a.rel.tuple(i);
-            for (std::size_t j = 0; j < a.vars.size(); ++j) {
-              if (j != drop) buf->push_back(t[j]);
-            }
+  Relation rel = ParallelRows(
+      pool, a.rel.size(), out_vars.size(),
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> row(out_vars.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          const Value* t = a.rel.tuple(i);
+          std::size_t c = 0;
+          for (std::size_t j = 0; j < a.vars.size(); ++j) {
+            if (j != drop) row[c++] = t[j];
           }
-        });
-    return {out_vars, std::move(rel)};
-  }
-  RelationBuilder out(out_vars.size());
-  std::vector<Value> row(out_vars.size());
-  for (std::size_t i = 0; i < a.rel.size(); ++i) {
-    const Value* t = a.rel.tuple(i);
-    std::size_t c = 0;
-    for (std::size_t j = 0; j < a.vars.size(); ++j) {
-      if (j != drop) row[c++] = t[j];
-    }
-    out.Add(row.data());
-  }
-  return {out_vars, out.Build()};
+          out->Add(row.data());
+        }
+      });
+  return {out_vars, std::move(rel)};
 }
 
 VarRelation FromAtom(const Relation& rel, const std::vector<std::size_t>& args,
@@ -419,49 +322,29 @@ VarRelation FromAtom(const Relation& rel, const std::vector<std::size_t>& args,
     out_pos[j] = static_cast<std::size_t>(
         std::lower_bound(vars.begin(), vars.end(), args[j]) - vars.begin());
   }
-  if (UsePool(pool, rel.size())) {
-    Relation selected = ParallelRows(
-        pool, rel.size(), vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          std::vector<Value> row(vars.size());
-          std::vector<bool> written(vars.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* t = rel.tuple(i);
-            bool consistent = true;
-            std::fill(written.begin(), written.end(), false);
-            for (std::size_t j = 0; j < args.size() && consistent; ++j) {
-              const std::size_t c = out_pos[j];
-              if (written[c] && row[c] != t[j]) {
-                consistent = false;
-              } else {
-                row[c] = t[j];
-                written[c] = true;
-              }
+  Relation selected = ParallelRows(
+      pool, rel.size(), vars.size(),
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> row(vars.size());
+        std::vector<bool> written(vars.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          const Value* t = rel.tuple(i);
+          bool consistent = true;
+          // Repeated variables must agree across their occurrences.
+          std::fill(written.begin(), written.end(), false);
+          for (std::size_t j = 0; j < args.size() && consistent; ++j) {
+            const std::size_t c = out_pos[j];
+            if (written[c] && row[c] != t[j]) {
+              consistent = false;
+            } else {
+              row[c] = t[j];
+              written[c] = true;
             }
-            if (consistent) buf->insert(buf->end(), row.begin(), row.end());
           }
-        });
-    return {vars, std::move(selected)};
-  }
-  RelationBuilder out(vars.size());
-  std::vector<Value> row(vars.size());
-  for (std::size_t i = 0; i < rel.size(); ++i) {
-    const Value* t = rel.tuple(i);
-    bool consistent = true;
-    // Repeated variables must agree across their occurrences.
-    std::vector<bool> written(vars.size(), false);
-    for (std::size_t j = 0; j < args.size() && consistent; ++j) {
-      const std::size_t c = out_pos[j];
-      if (written[c] && row[c] != t[j]) {
-        consistent = false;
-      } else {
-        row[c] = t[j];
-        written[c] = true;
-      }
-    }
-    if (consistent) out.Add(row.data());
-  }
-  return {vars, out.Build()};
+          if (consistent) out->Add(row.data());
+        }
+      });
+  return {vars, std::move(selected)};
 }
 
 VarRelation EqualityRelation(std::size_t var_i, std::size_t var_j,
@@ -504,26 +387,16 @@ Result<Relation> AnswerTuple(const VarRelation& a,
         std::lower_bound(ext.vars.begin(), ext.vars.end(), target_vars[j]) -
         ext.vars.begin());
   }
-  if (UsePool(pool, ext.rel.size()) && !target_vars.empty()) {
-    return ParallelRows(
-        pool, ext.rel.size(), target_vars.size(),
-        [&](std::size_t begin, std::size_t end, std::vector<Value>* buf) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const Value* t = ext.rel.tuple(i);
-            for (std::size_t j = 0; j < pos.size(); ++j) {
-              buf->push_back(t[pos[j]]);
-            }
-          }
-        });
-  }
-  RelationBuilder out(target_vars.size());
-  std::vector<Value> row(target_vars.size());
-  for (std::size_t i = 0; i < ext.rel.size(); ++i) {
-    const Value* t = ext.rel.tuple(i);
-    for (std::size_t j = 0; j < pos.size(); ++j) row[j] = t[pos[j]];
-    out.Add(row.data());
-  }
-  return out.Build();
+  return ParallelRows(
+      pool, ext.rel.size(), target_vars.size(),
+      [&](std::size_t begin, std::size_t end, RelationBuilder* out) {
+        std::vector<Value> row(target_vars.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          const Value* t = ext.rel.tuple(i);
+          for (std::size_t j = 0; j < pos.size(); ++j) row[j] = t[pos[j]];
+          out->Add(row.data());
+        }
+      });
 }
 
 }  // namespace bvq

@@ -29,12 +29,12 @@ struct VarRelation {
   }
 };
 
-/// All kernels taking a `pool` run the single-threaded loop when pool is
-/// null (or has one thread, or the input is small) and an equivalent
-/// row-chunked parallel sweep otherwise. Parallel chunks fill private row
-/// buffers that are concatenated in chunk-index order before the
-/// canonicalizing RelationBuilder::Build() sort/dedup, so outputs are
-/// byte-identical for every thread count.
+/// Every kernel taking a `pool` has one row loop. With a null pool, a
+/// one-thread pool, or an input below kMinParallelRows, it runs as one
+/// inline chunk on the calling thread; otherwise row chunks fan out over
+/// the pool and fill private builders that are concatenated in chunk-index
+/// order before the canonicalizing RelationBuilder::Build() sort/dedup, so
+/// outputs are byte-identical for every thread count.
 
 /// Natural join on the shared variables; output columns are the sorted
 /// union of both variable sets.

@@ -124,12 +124,13 @@ class RelationBuilder {
     Add(t.data());
   }
 
-  /// Appends `num_rows` rows stored flat (num_rows * arity() values). Used
-  /// by the parallel kernels to concatenate per-chunk row buffers in stable
-  /// chunk order before the canonicalizing Build().
-  void AddFlat(const Value* data, std::size_t num_rows) {
-    data_.insert(data_.end(), data, data + num_rows * arity_);
-    num_rows_ += num_rows;
+  /// Appends every row added to `other` (same arity). Used by the row
+  /// kernels to concatenate per-chunk builders in stable chunk order before
+  /// the canonicalizing Build().
+  void Append(const RelationBuilder& other) {
+    assert(other.arity_ == arity_);
+    data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+    num_rows_ += other.num_rows_;
   }
 
   std::size_t arity() const { return arity_; }

@@ -131,10 +131,6 @@ class BlockLayout {
   std::size_t slice_size_;
 };
 
-// Cubes below this many bits never engage the pool (dispatch overhead
-// dominates; mirrors the kernel-level threshold in assignment_set.cc).
-constexpr std::size_t kMinParallelBits = 4096;
-
 }  // namespace
 
 std::size_t BoundedEvaluator::IdKeyHash::operator()(
@@ -719,17 +715,20 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
   std::vector<uint8_t> decided(num_blocks, 0);
   std::size_t num_decided = 0;
 
-  // Parallel per-block detection: SliceHash/SlicesEqual over the blocks of
-  // a stage read shared stages and write only per-block state, so they
-  // fan out cleanly; CopySlice writes are not block-disjoint at word
-  // granularity and stay serial.
-  const bool par = pool_ != nullptr && pool_->num_threads() > 1 &&
-                   num_blocks > 1 &&
-                   x->indexer().NumTuples() >= kMinParallelBits;
-  const std::size_t block_grain =
-      par ? std::max<std::size_t>(
-                1, num_blocks / (pool_->num_threads() * 4))
-          : num_blocks;
+  // Per-block detection: SliceHash/SlicesEqual over the blocks of a stage
+  // read shared stages and write only per-block state, so they fan out
+  // cleanly; CopySlice writes are not block-disjoint at word granularity
+  // and stay on the orchestrating thread.
+  const ChunkPlan blocks = PlanChunks(
+      pool_.get(), num_blocks, x->indexer().NumTuples(), kMinParallelBits,
+      [](std::size_t total, std::size_t threads) {
+        return RowGrain(total, threads, 1);
+      });
+  auto for_each_block = [&](const auto& fn) {
+    blocks.Run([&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t b = begin; b < end; ++b) fn(b);
+    });
+  };
 
   // Warm caches of monotone fixpoints nested inside a pfp are unsound (the
   // pfp iterate is not monotone); invalidate on every stage by bumping both
@@ -794,17 +793,7 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
         // sequence cycles, so the partial fixpoint is empty there.
         return seen[b].insert(h).second ? 0 : 2;
       };
-      if (par) {
-        pool_->ParallelFor(
-            num_blocks, block_grain,
-            [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-              for (std::size_t b = begin; b < end; ++b) {
-                outcome[b] = classify(b);
-              }
-            });
-      } else {
-        for (std::size_t b = 0; b < num_blocks; ++b) outcome[b] = classify(b);
-      }
+      for_each_block([&](std::size_t b) { outcome[b] = classify(b); });
       std::size_t fresh_hashes = 0;
       for (std::size_t b = 0; b < num_blocks; ++b) {
         if (decided[b]) continue;
@@ -860,15 +849,7 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
         is_limit[b] = !decided[b] && met[b] &&
                       layout.SlicesEqual(*tortoise, *t_next, b);
       };
-      if (par) {
-        pool_->ParallelFor(
-            num_blocks, block_grain,
-            [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-              for (std::size_t b = begin; b < end; ++b) test_limit(b);
-            });
-      } else {
-        for (std::size_t b = 0; b < num_blocks; ++b) test_limit(b);
-      }
+      for_each_block(test_limit);
       for (std::size_t b = 0; b < num_blocks; ++b) {
         if (decided[b] || !met[b]) continue;
         if (is_limit[b]) layout.CopySlice(*tortoise, result, b);
@@ -895,15 +876,7 @@ Result<AssignmentSet> BoundedEvaluator::EvalPartialFixpoint(
         if (decided[b] || met[b]) return;
         if (layout.SlicesEqual(*tortoise, *hare, b)) met[b] = 1;
       };
-      if (par) {
-        pool_->ParallelFor(
-            num_blocks, block_grain,
-            [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-              for (std::size_t b = begin; b < end; ++b) test_met(b);
-            });
-      } else {
-        for (std::size_t b = 0; b < num_blocks; ++b) test_met(b);
-      }
+      for_each_block(test_met);
     }
   }
   restore();

@@ -108,9 +108,10 @@ struct BoundedEvalOptions {
   std::size_t max_so_enumeration_bits = 22;
   /// Worker lanes for the data-parallel kernels. 0 = auto
   /// (ThreadPool::DefaultThreads(), i.e. hardware concurrency unless
-  /// BVQ_THREADS overrides it); 1 = the exact single-threaded legacy code
-  /// path, no pool is created. Outputs are byte-identical for every value
-  /// (see DESIGN.md, "Threading model & determinism").
+  /// BVQ_THREADS overrides it); 1 = no pool is created and every kernel
+  /// runs its one loop body as a single inline chunk. Outputs are
+  /// byte-identical for every value (see DESIGN.md, "Threading model &
+  /// determinism").
   std::size_t num_threads = 0;
   /// Dependency-aware subformula memoization (DESIGN.md, "Memoization &
   /// invariant hoisting"): every subtree result is cached keyed on its
@@ -278,7 +279,7 @@ class BoundedEvaluator {
   BoundedEvalOptions options_;
   EvalStats stats_;
   // Owned pool for the parallel kernels; null when the resolved thread
-  // count is 1 (the legacy serial path). Joined in the destructor.
+  // count is 1 (kernels then run inline). Joined in the destructor.
   std::unique_ptr<ThreadPool> pool_;
 
   // Structural interning + dependency sets of the formula currently being

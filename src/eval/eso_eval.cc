@@ -603,49 +603,50 @@ Result<AssignmentSet> EsoEvaluator::EvaluateScratch(const FormulaPtr& formula) {
   const std::size_t threads = options_.num_threads == 0
                                   ? ThreadPool::DefaultThreads()
                                   : options_.num_threads;
-  if (threads <= 1 || total <= 1) {
-    for (std::size_t r = 0; r < total; ++r) {
-      EsoEvalStats call;
-      auto holds = HoldsRank(formula, r, nullptr, &call);
-      if (!holds.ok()) return holds.status();
-      AccumulateStats(call, &stats_);
-      if (*holds) out.Set(r);
-    }
-  } else {
-    // Tuples are independent scratch solves; run them on the pool and fold
-    // outcome bits, stats, and the first error in rank order so the result
-    // is byte-identical to the serial sweep for every thread count.
-    std::vector<uint8_t> holds(total, 0);
-    std::vector<EsoEvalStats> calls(total);
-    std::vector<Status> errors(total, Status::OK());
-    ThreadPool pool(threads);
+  // Tuples are independent scratch solves. Each chunk stops at its first
+  // error; outcome bits, stats and that error are folded in chunk (= rank)
+  // order, so the result is byte-identical for every thread count.
+  // No pool, hence one inline chunk, for one lane or a single tuple.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1 && total > 1) {
+    pool = std::make_unique<ThreadPool>(threads);
     if (options_.governor != nullptr) {
-      pool.set_cancel_token(options_.governor->stop_flag());
+      pool->set_cancel_token(options_.governor->stop_flag());
     }
-    pool.ParallelFor(total, RowGrain(total, threads, 1),
-                     [&](std::size_t, std::size_t begin, std::size_t end) {
-                       for (std::size_t r = begin; r < end; ++r) {
-                         auto h = HoldsRank(formula, r, nullptr, &calls[r]);
-                         if (!h.ok()) {
-                           errors[r] = h.status();
-                           continue;
-                         }
-                         holds[r] = *h ? 1 : 0;
-                       }
-                     });
-    // A trip makes the pool skip chunks, leaving their `holds` slots stale
-    // zeros; fail the sweep before folding rather than report a partial
-    // answer as complete.
-    if (options_.governor != nullptr && options_.governor->stopped()) {
-      return options_.governor->status();
+  }
+  const ChunkPlan plan = PlanChunks(
+      pool.get(), total, total, /*floor=*/0,
+      [](std::size_t items, std::size_t lanes) {
+        return RowGrain(items, lanes, 1);
+      });
+  std::vector<uint8_t> holds(total, 0);
+  std::vector<EsoEvalStats> chunk_stats(plan.num_chunks());
+  std::vector<Status> chunk_errors(plan.num_chunks(), Status::OK());
+  plan.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      EsoEvalStats call;
+      auto h = HoldsRank(formula, r, nullptr, &call);
+      if (!h.ok()) {
+        chunk_errors[chunk] = h.status();
+        return;
+      }
+      AccumulateStats(call, &chunk_stats[chunk]);
+      holds[r] = *h ? 1 : 0;
     }
-    for (std::size_t r = 0; r < total; ++r) {
-      if (!errors[r].ok()) return errors[r];
-    }
-    for (std::size_t r = 0; r < total; ++r) {
-      AccumulateStats(calls[r], &stats_);
-      if (holds[r]) out.Set(r);
-    }
+  });
+  Status error = Status::OK();
+  for (std::size_t c = 0; c < plan.num_chunks() && error.ok(); ++c) {
+    AccumulateStats(chunk_stats[c], &stats_);
+    error = chunk_errors[c];
+  }
+  // A trip makes the pool skip chunks, leaving their `holds` slots stale
+  // zeros; fail the sweep rather than report a partial answer as complete.
+  if (options_.governor != nullptr && options_.governor->stopped()) {
+    return options_.governor->status();
+  }
+  if (!error.ok()) return error;
+  for (std::size_t r = 0; r < total; ++r) {
+    if (holds[r]) out.Set(r);
   }
   stats_.sat_calls = total;
   stats_.groundings = total;

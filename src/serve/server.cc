@@ -524,6 +524,7 @@ void Server::SaveAllSessionCaches() {
   for (const std::string& name : sessions_.Names()) {
     auto session = sessions_.Get(name);
     if (!session.ok()) continue;  // closed concurrently
+    if (!(*session)->options().eval.memo) continue;
     Status s = SaveSessionCache(*session, CacheFileFor(name));
     if (!s.ok()) {
       std::fprintf(stderr, "bvqserve: cache snapshot for session %s: %s\n",
@@ -639,7 +640,9 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
     }
     Status s = Open(name, so);
     if (!s.ok()) return err(StrCat("open ", name, ": ", s.ToString()));
-    if (!options_.cache_dir.empty()) {
+    // A memo=0 session never probes its cache (Session::cache_enabled), so
+    // it neither prewarms from nor, at quit, overwrites its snapshot.
+    if (!options_.cache_dir.empty() && so.eval.memo) {
       // Prewarm from the session's snapshot if one exists. Advisory only:
       // a missing file is the normal cold case, and a bad one degrades to
       // misses — the ok line is the same either way.
@@ -839,7 +842,7 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
     if (!(is >> name)) return err("close: missing session name");
     if (!options_.cache_dir.empty()) {
       auto session = sessions_.Get(name);
-      if (session.ok()) {
+      if (session.ok() && (*session)->options().eval.memo) {
         Status saved = SaveSessionCache(*session, CacheFileFor(name));
         if (!saved.ok()) {
           std::fprintf(stderr,

@@ -145,10 +145,13 @@ class Session {
   /// The session's cross-query answer cache (DESIGN.md §11). Always
   /// non-null; residency is charged to the session governor and capped per
   /// SessionOptions::cache_max_bytes. Whether queries consult it is the
-  /// separate runtime switch below (protocol `cache <s> on|off`).
+  /// separate runtime switch below (protocol `cache <s> on|off`). The
+  /// evaluator probes the cache only under memo, so a memo=0 session's
+  /// cache is never enabled, whatever the switch says.
   AnswerCache* cache() { return cache_.get(); }
   bool cache_enabled() const {
-    return cache_enabled_.load(std::memory_order_acquire);
+    return options_.eval.memo &&
+           cache_enabled_.load(std::memory_order_acquire);
   }
   void set_cache_enabled(bool enabled) {
     cache_enabled_.store(enabled, std::memory_order_release);

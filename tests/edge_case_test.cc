@@ -53,6 +53,12 @@ TEST(EdgeCaseTest, EmptyDatabaseDomain) {
   auto r = eval.Evaluate(True());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->Count(), 0u);
+  // Quantifier sweeps over an empty cube (stride n^1 = 0 along x2).
+  for (const char* text : {"exists x2 . x1 = x2", "forall x1 . x1 = x2"}) {
+    auto q = eval.Evaluate(*ParseFormula(text));
+    ASSERT_TRUE(q.ok()) << text;
+    EXPECT_EQ(q->Count(), 0u) << text;
+  }
 }
 
 TEST(EdgeCaseTest, ZeroVariableFormulas) {

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/index.h"
@@ -16,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "db/assignment_set.h"
 #include "db/generators.h"
+#include "db/relalg.h"
 #include "eval/bounded_eval.h"
 #include "logic/formula.h"
 #include "logic/parser.h"
@@ -88,7 +91,13 @@ TEST(ThreadPoolTest, GrainHelpers) {
   EXPECT_GE(RowGrain(10'000, 4, 256), 256u);
 }
 
-// --- kernel-level determinism ----------------------------------------------------
+// --- kernel oracles ---------------------------------------------------------------
+//
+// Every kernel has one loop body that runs as a single inline chunk without
+// a pool and as fanned-out chunks with one, so comparing those two runs
+// would compare a body with itself. Instead each kernel is checked against
+// a pointwise definition built here from TupleIndexer digits, and the row
+// kernels against brute-force enumeration.
 
 AssignmentSet RandomCube(std::size_t n, std::size_t k, double density,
                          Rng& rng) {
@@ -100,70 +109,336 @@ AssignmentSet RandomCube(std::size_t n, std::size_t k, double density,
   return a;
 }
 
+// out[r] = (exists / forall v) a[r with coordinate var := v].
+AssignmentSet QuantifierOracle(const AssignmentSet& a, std::size_t var,
+                               bool forall) {
+  const TupleIndexer& idx = a.indexer();
+  AssignmentSet out(a.domain_size(), a.num_vars());
+  for (std::size_t r = 0; r < idx.NumTuples(); ++r) {
+    bool holds = forall;
+    for (Value v = 0; v < a.domain_size(); ++v) {
+      if (a.Test(idx.WithDigit(r, var, v)) != forall) {
+        holds = !forall;
+        break;
+      }
+    }
+    if (holds) out.Set(r);
+  }
+  return out;
+}
+
+// table[r] = rank of r's digit vector with digit targets[i] replaced by the
+// original digit sources[i].
+std::vector<std::size_t> RemapTableOracle(
+    const TupleIndexer& idx, const std::vector<std::size_t>& targets,
+    const std::vector<std::size_t>& sources) {
+  std::vector<std::size_t> table(idx.NumTuples());
+  for (std::size_t r = 0; r < idx.NumTuples(); ++r) {
+    const std::vector<Value> digits = idx.Unrank(r);
+    std::vector<Value> read = digits;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      read[targets[i]] = digits[sources[i]];
+    }
+    table[r] = idx.Rank(read);
+  }
+  return table;
+}
+
+// Parameter: pool thread count; 0 = no pool.
 class KernelDeterminism : public ::testing::TestWithParam<std::size_t> {
  protected:
-  ThreadPool pool_{GetParam()};
+  ThreadPool* pool() { return pool_.get(); }
+  // Whether kernels above the size floor fan out in this configuration.
+  bool fans_out() const { return GetParam() > 1; }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_ =
+      GetParam() == 0 ? nullptr : std::make_unique<ThreadPool>(GetParam());
 };
 
-// n = 32, k = 3: strides 1, 32, 1024 — exercises both the word-aligned slab
-// sweep (stride % 64 == 0) and the unaligned shard path, on a cube big
-// enough (32768 bits) to engage the pool. n = 17, k = 3 (4913 bits) keeps
-// every stride unaligned and the bit count off any word boundary.
+// n = 64 makes strides of 64 and 4096 word-aligned (the word-slab sweep);
+// n = 3, 17 and 50 keep strides and cube sizes off word boundaries (the
+// shard path). k = 3 puts n >= 17 above the 4096-bit fan-out floor.
+const std::size_t kOracleDomains[] = {3, 17, 50, 64};
+
 TEST_P(KernelDeterminism, QuantifierSweepsMatchSerial) {
-  for (std::size_t n : {std::size_t{32}, std::size_t{17}}) {
-    Rng rng(1000 + n);
-    AssignmentSet a = RandomCube(n, 3, 0.3, rng);
-    for (std::size_t var = 0; var < 3; ++var) {
-      EXPECT_EQ(a.ExistsVar(var, &pool_).bits(), a.ExistsVar(var).bits())
-          << "exists x" << var + 1 << ", n=" << n;
-      EXPECT_EQ(a.ForAllVar(var, &pool_).bits(), a.ForAllVar(var).bits())
-          << "forall x" << var + 1 << ", n=" << n;
+  for (std::size_t n : kOracleDomains) {
+    for (std::size_t k = 1; k <= 3; ++k) {
+      Rng rng(1000 + n * 10 + k);
+      const AssignmentSet a = RandomCube(n, k, 0.3, rng);
+      // A dense cube so forall lines are not all empty.
+      const AssignmentSet d = RandomCube(n, k, 0.97, rng);
+      for (std::size_t var = 0; var < k; ++var) {
+        EXPECT_EQ(a.ExistsVar(var, pool()), QuantifierOracle(a, var, false))
+            << "exists x" << var + 1 << ", n=" << n << ", k=" << k;
+        EXPECT_EQ(a.ForAllVar(var, pool()), QuantifierOracle(a, var, true))
+            << "forall x" << var + 1 << ", n=" << n << ", k=" << k;
+        EXPECT_EQ(d.ForAllVar(var, pool()), QuantifierOracle(d, var, true))
+            << "forall x" << var + 1 << " (dense), n=" << n << ", k=" << k;
+      }
     }
+  }
+  if (pool() != nullptr) {
+    EXPECT_EQ(pool()->stats().parallel_loops > 0, fans_out());
   }
 }
 
 TEST_P(KernelDeterminism, EqualityAndRemapMatchSerial) {
-  for (std::size_t n : {std::size_t{32}, std::size_t{17}}) {
-    EXPECT_EQ(AssignmentSet::Equality(n, 3, 0, 2, &pool_).bits(),
-              AssignmentSet::Equality(n, 3, 0, 2).bits());
-    Rng rng(2000 + n);
-    AssignmentSet a = RandomCube(n, 3, 0.3, rng);
-    const std::vector<std::size_t> targets = {0, 1};
-    const std::vector<std::size_t> sources = {2, 2};
-    EXPECT_EQ(a.Remap(targets, sources, &pool_).bits(),
-              a.Remap(targets, sources).bits());
-    auto table =
-        AssignmentSet::BuildRemapTable(a.indexer(), targets, sources, &pool_);
-    EXPECT_EQ(table,
-              AssignmentSet::BuildRemapTable(a.indexer(), targets, sources));
-    EXPECT_EQ(a.RemapByTable(table, &pool_).bits(),
-              a.RemapByTable(table).bits());
+  for (std::size_t n : kOracleDomains) {
+    for (std::size_t k = 2; k <= 3; ++k) {
+      const TupleIndexer idx(n, k);
+      AssignmentSet eq(n, k);
+      for (std::size_t r = 0; r < idx.NumTuples(); ++r) {
+        if (idx.Digit(r, 0) == idx.Digit(r, k - 1)) eq.Set(r);
+      }
+      EXPECT_EQ(AssignmentSet::Equality(n, k, 0, k - 1, pool()), eq)
+          << "n=" << n << ", k=" << k;
+
+      Rng rng(2000 + n * 10 + k);
+      const AssignmentSet a = RandomCube(n, k, 0.3, rng);
+      // A swap, and a substitution whose sources repeat and overlap the
+      // targets.
+      const std::vector<std::pair<std::vector<std::size_t>,
+                                  std::vector<std::size_t>>>
+          remaps = {{{0, 1}, {1, 0}}, {{0, 1}, {k - 1, k - 1}}};
+      for (const auto& [targets, sources] : remaps) {
+        const std::vector<std::size_t> table =
+            RemapTableOracle(idx, targets, sources);
+        AssignmentSet remapped(n, k);
+        for (std::size_t r = 0; r < table.size(); ++r) {
+          if (a.Test(table[r])) remapped.Set(r);
+        }
+        EXPECT_EQ(AssignmentSet::BuildRemapTable(idx, targets, sources,
+                                                 pool()),
+                  table)
+            << "n=" << n << ", k=" << k;
+        EXPECT_EQ(a.RemapByTable(table, pool()), remapped)
+            << "n=" << n << ", k=" << k;
+        EXPECT_EQ(a.Remap(targets, sources, pool()), remapped)
+            << "n=" << n << ", k=" << k;
+      }
+    }
+  }
+  if (pool() != nullptr) {
+    EXPECT_EQ(pool()->stats().parallel_loops > 0, fans_out());
   }
 }
 
 TEST_P(KernelDeterminism, FromAtomMatchesSerial) {
-  for (std::size_t n : {std::size_t{32}, std::size_t{17}}) {
-    Rng rng(3000 + n);
-    Relation rel = RandomRelation(n, 2, 0.4, rng);
-    // Plain, permuted, and repeated argument lists.
-    const std::vector<std::vector<std::size_t>> arg_lists = {
-        {0, 1}, {2, 0}, {1, 1}};
-    for (const auto& args : arg_lists) {
-      EXPECT_EQ(AssignmentSet::FromAtom(n, 3, rel, args, &pool_).bits(),
-                AssignmentSet::FromAtom(n, 3, rel, args).bits())
-          << "n=" << n;
+  for (std::size_t n : kOracleDomains) {
+    for (std::size_t k = 2; k <= 3; ++k) {
+      const TupleIndexer idx(n, k);
+      Rng rng(3000 + n * 10 + k);
+      const Relation rel = RandomRelation(n, 2, 0.4, rng);
+      // Plain, permuted, and repeated argument lists.
+      const std::vector<std::vector<std::size_t>> arg_lists = {
+          {0, 1}, {k - 1, 0}, {1, 1}};
+      for (const auto& args : arg_lists) {
+        AssignmentSet expected(n, k);
+        for (std::size_t r = 0; r < idx.NumTuples(); ++r) {
+          const Value point[2] = {idx.Digit(r, args[0]),
+                                  idx.Digit(r, args[1])};
+          if (rel.Contains(point)) expected.Set(r);
+        }
+        EXPECT_EQ(AssignmentSet::FromAtom(n, k, rel, args, pool()), expected)
+            << "n=" << n << ", k=" << k << ", args " << args[0] << ","
+            << args[1];
+      }
     }
+  }
+  if (pool() != nullptr) {
+    EXPECT_EQ(pool()->stats().parallel_loops > 0, fans_out());
+  }
+}
+
+// --- row kernels (relalg) against brute force ------------------------------------
+
+// A relation over `vars` of every tuple t (indexed like `vars`) for which
+// pred(full) holds, where full maps variable index -> value.
+template <typename Pred>
+VarRelation Enumerate(const std::vector<std::size_t>& vars, std::size_t n,
+                      const Pred& pred) {
+  const TupleIndexer idx(n, vars.size());
+  std::vector<Value> full(8, 0);
+  std::vector<Tuple> rows;
+  for (std::size_t r = 0; r < idx.NumTuples(); ++r) {
+    const Tuple t = idx.Unrank(r);
+    for (std::size_t j = 0; j < vars.size(); ++j) full[vars[j]] = t[j];
+    if (pred(full)) rows.push_back(t);
+  }
+  return {vars, Relation::FromTuples(vars.size(), rows)};
+}
+
+bool Holds(const VarRelation& a, const std::vector<Value>& full) {
+  Tuple t;
+  for (std::size_t v : a.vars) t.push_back(full[v]);
+  return a.rel.Contains(t);
+}
+
+// Whether some assignment to `extra` (on top of `full`) satisfies pred.
+template <typename Pred>
+bool ExistsExtension(std::vector<Value> full,
+                     const std::vector<std::size_t>& extra, std::size_t n,
+                     const Pred& pred) {
+  const TupleIndexer idx(n, extra.size());
+  for (std::size_t r = 0; r < idx.NumTuples(); ++r) {
+    for (std::size_t j = 0; j < extra.size(); ++j) {
+      full[extra[j]] = idx.Digit(r, j);
+    }
+    if (pred(full)) return true;
+  }
+  return false;
+}
+
+// n = 24 gives the binary inputs ~288 rows and the complements 576, above
+// the 256-row fan-out floor.
+TEST_P(KernelDeterminism, RowKernelsMatchBruteForce) {
+  const std::size_t n = 24;
+  Rng rng(4000);
+  const VarRelation a{{0, 1}, RandomRelation(n, 2, 0.5, rng)};
+  const VarRelation b{{1, 2}, RandomRelation(n, 2, 0.5, rng)};
+  ASSERT_GE(a.rel.size(), kMinParallelRows);
+  ASSERT_GE(b.rel.size(), kMinParallelRows);
+  auto in_a = [&](const std::vector<Value>& f) { return Holds(a, f); };
+  auto in_b = [&](const std::vector<Value>& f) { return Holds(b, f); };
+
+  const VarRelation join = Join(a, b, pool());
+  EXPECT_EQ(join, Join(a, b));
+  EXPECT_EQ(join, Enumerate({0, 1, 2}, n, [&](const auto& f) {
+              return in_a(f) && in_b(f);
+            }));
+
+  const VarRelation semi = Semijoin(a, b, pool());
+  const VarRelation anti = Antijoin(a, b, pool());
+  EXPECT_EQ(semi, Semijoin(a, b));
+  EXPECT_EQ(anti, Antijoin(a, b));
+  auto joins_b = [&](const std::vector<Value>& f) {
+    return ExistsExtension(f, {2}, n, in_b);
+  };
+  EXPECT_EQ(semi, Enumerate({0, 1}, n, [&](const auto& f) {
+              return in_a(f) && joins_b(f);
+            }));
+  EXPECT_EQ(anti, Enumerate({0, 1}, n, [&](const auto& f) {
+              return in_a(f) && !joins_b(f);
+            }));
+
+  auto extended = ExtendTo(a, {0, 1, 2}, n, pool());
+  ASSERT_TRUE(extended.ok());
+  EXPECT_EQ(*extended, *ExtendTo(a, {0, 1, 2}, n));
+  EXPECT_EQ(*extended, Enumerate({0, 1, 2}, n, in_a));
+
+  auto uni = Union(a, b, n, pool());
+  ASSERT_TRUE(uni.ok());
+  EXPECT_EQ(*uni, *Union(a, b, n));
+  EXPECT_EQ(*uni, Enumerate({0, 1, 2}, n, [&](const auto& f) {
+              return in_a(f) || in_b(f);
+            }));
+
+  auto comp = Complement(a, n, pool());
+  ASSERT_TRUE(comp.ok());
+  EXPECT_EQ(*comp, *Complement(a, n));
+  EXPECT_EQ(*comp, Enumerate({0, 1}, n, [&](const auto& f) {
+              return !in_a(f);
+            }));
+
+  const VarRelation proj = ProjectOut(a, 0, pool());
+  EXPECT_EQ(proj, ProjectOut(a, 0));
+  EXPECT_EQ(proj, Enumerate({1}, n, [&](const auto& f) {
+              return ExistsExtension(f, {0}, n, in_a);
+            }));
+
+  // A repeated argument selects the diagonal rows.
+  const VarRelation diag = FromAtom(a.rel, {2, 2}, pool());
+  EXPECT_EQ(diag, FromAtom(a.rel, {2, 2}));
+  EXPECT_EQ(diag, Enumerate({2}, n, [&](const auto& f) {
+              return a.rel.Contains(Tuple{f[2], f[2]});
+            }));
+  const VarRelation swapped = FromAtom(a.rel, {1, 0}, pool());
+  EXPECT_EQ(swapped, FromAtom(a.rel, {1, 0}));
+  EXPECT_EQ(swapped, Enumerate({0, 1}, n, [&](const auto& f) {
+              return a.rel.Contains(Tuple{f[1], f[0]});
+            }));
+
+  // (x2, x1, x2) over a(x1, x2): reordered, repeated, projected.
+  auto answer = AnswerTuple(a, {1, 0, 1}, n, pool());
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(*answer, *AnswerTuple(a, {1, 0, 1}, n));
+  std::vector<Tuple> expected;
+  a.rel.ForEach(
+      [&](const Value* t) { expected.push_back({t[1], t[0], t[1]}); });
+  EXPECT_EQ(*answer, Relation::FromTuples(3, expected));
+
+  if (pool() != nullptr) {
+    EXPECT_EQ(pool()->stats().parallel_loops > 0, fans_out());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelDeterminism,
-                         ::testing::Values(2, 4, 8));
+                         ::testing::Values(0, 1, 2, 4, 8));
 
 // --- whole-evaluator determinism -------------------------------------------------
 
+// Evaluates `f` at num_threads 1 and at each of `threads`, expecting the
+// same answer relation; returns the parallel loops the pooled runs took.
+std::size_t ExpectSameAcrossThreads(const Database& db, std::size_t k,
+                                    const FormulaPtr& f,
+                                    PfpCycleDetection mode,
+                                    const std::vector<std::size_t>& threads) {
+  const std::string dump = FormulaToString(f) + "\n" + db.ToString();
+  std::vector<std::size_t> all_vars(k);
+  for (std::size_t v = 0; v < k; ++v) all_vars[v] = v;
+  BoundedEvalOptions serial;
+  serial.num_threads = 1;
+  serial.pfp_cycle_detection = mode;
+  BoundedEvaluator base(db, k, serial);
+  auto expected = base.EvaluateQuery(Query{all_vars, f});
+  EXPECT_TRUE(expected.ok()) << dump;
+  if (!expected.ok()) return 0;
+  EXPECT_EQ(base.stats().parallel_loops, 0u);
+  std::size_t loops = 0;
+  for (std::size_t t : threads) {
+    BoundedEvalOptions par = serial;
+    par.num_threads = t;
+    BoundedEvaluator eval(db, k, par);
+    auto got = eval.EvaluateQuery(Query{all_vars, f});
+    EXPECT_TRUE(got.ok()) << dump;
+    if (!got.ok()) continue;
+    EXPECT_EQ(*got, *expected) << t << " threads differ from serial\n"
+                               << dump;
+    loops += eval.stats().parallel_loops;
+  }
+  return loops;
+}
+
+// Cubes above the fan-out floor: n = 17 at k = 3 is 4913 bits. The fixed
+// PFP formula binds x1 and has x2, x3 as parameters, so it runs the
+// per-block detection sweeps over 17^2 blocks: blocks with P(x2) converge
+// to E(x2, .), the others cycle with period 2 (empty limit).
+std::size_t FanOutTrials(PfpCycleDetection mode, Rng& rng,
+                         const RandomFormulaOptions& opts) {
+  const std::size_t n = 17;
+  Database db(n);
+  EXPECT_TRUE(db.AddRelation("E", RandomRelation(n, 2, 0.2, rng)).ok());
+  EXPECT_TRUE(db.AddRelation("P", RandomRelation(n, 1, 0.5, rng)).ok());
+  auto pfp = ParseFormula(
+      "[pfp X(x1) . (P(x2) & (E(x2,x1) | X(x1))) | "
+      "(!P(x2) & E(x2,x1) & !X(x1))](x1) & (E(x3,x1) | x3 = x2)");
+  EXPECT_TRUE(pfp.ok());
+  if (!pfp.ok()) return 0;
+  const std::size_t pfp_loops =
+      ExpectSameAcrossThreads(db, 3, *pfp, mode, {2, 4});
+  EXPECT_GT(pfp_loops, 0u) << "the pool never ran";
+  std::size_t loops = pfp_loops;
+  for (int trial = 0; trial < 4; ++trial) {
+    loops += ExpectSameAcrossThreads(db, 3, RandomFormula(opts, rng), mode,
+                                     {2, 4});
+  }
+  return loops;
+}
+
 // Random FO^k / FP^k / PFP^k formulas evaluated with num_threads 1, 2, 4,
-// and 8 must produce identical answer relations (1 is the legacy serial
-// path, so this pins the parallel layer to the seed behaviour).
+// and 8 must produce identical answer relations. The small domains stay
+// below the fan-out floor; the n = 17 trials engage the pool.
 TEST(ParallelEvalTest, ByteIdenticalAcrossThreadCounts) {
   Rng rng(424242);
   RandomFormulaOptions opts;
@@ -174,36 +449,18 @@ TEST(ParallelEvalTest, ByteIdenticalAcrossThreadCounts) {
   opts.allow_pfp = true;
   opts.allow_ifp = true;
 
-  const std::vector<std::size_t> all_vars = {0, 1, 2};
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n = 2 + rng.Below(4);
     Database db(n);
     ASSERT_TRUE(db.AddRelation("E", RandomRelation(n, 2, 0.35, rng)).ok());
     ASSERT_TRUE(db.AddRelation("P", RandomRelation(n, 1, 0.5, rng)).ok());
-    FormulaPtr f = RandomFormula(opts, rng);
-    const std::string dump = FormulaToString(f) + "\n" + db.ToString();
-
-    BoundedEvalOptions serial;
-    serial.num_threads = 1;
-    BoundedEvaluator base(db, 3, serial);
-    auto expected = base.EvaluateQuery(Query{all_vars, f});
-    ASSERT_TRUE(expected.ok()) << dump;
-
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                std::size_t{8}}) {
-      BoundedEvalOptions par;
-      par.num_threads = threads;
-      BoundedEvaluator eval(db, 3, par);
-      auto got = eval.EvaluateQuery(Query{all_vars, f});
-      ASSERT_TRUE(got.ok()) << dump;
-      EXPECT_EQ(*got, *expected)
-          << threads << " threads differ from serial\n"
-          << dump;
-    }
+    ExpectSameAcrossThreads(db, 3, RandomFormula(opts, rng),
+                            PfpCycleDetection::kHashHistory, {2, 4, 8});
   }
+  EXPECT_GT(FanOutTrials(PfpCycleDetection::kHashHistory, rng, opts), 0u);
 }
 
-// The Floyd PFP mode has its own parallel block sweeps; pin it separately.
+// The Floyd PFP mode has its own block sweeps; pin it separately.
 TEST(ParallelEvalTest, FloydPfpIsDeterministicAcrossThreadCounts) {
   Rng rng(515151);
   RandomFormulaOptions opts;
@@ -213,29 +470,16 @@ TEST(ParallelEvalTest, FloydPfpIsDeterministicAcrossThreadCounts) {
   opts.allow_fixpoints = true;
   opts.allow_pfp = true;
 
-  const std::vector<std::size_t> all_vars = {0, 1};
   for (int trial = 0; trial < 15; ++trial) {
     const std::size_t n = 2 + rng.Below(3);
     Database db(n);
     ASSERT_TRUE(db.AddRelation("E", RandomRelation(n, 2, 0.4, rng)).ok());
     ASSERT_TRUE(db.AddRelation("P", RandomRelation(n, 1, 0.5, rng)).ok());
-    FormulaPtr f = RandomFormula(opts, rng);
-    const std::string dump = FormulaToString(f) + "\n" + db.ToString();
-
-    BoundedEvalOptions serial;
-    serial.num_threads = 1;
-    serial.pfp_cycle_detection = PfpCycleDetection::kFloyd;
-    BoundedEvaluator base(db, 2, serial);
-    auto expected = base.EvaluateQuery(Query{all_vars, f});
-    ASSERT_TRUE(expected.ok()) << dump;
-
-    BoundedEvalOptions par = serial;
-    par.num_threads = 4;
-    BoundedEvaluator eval(db, 2, par);
-    auto got = eval.EvaluateQuery(Query{all_vars, f});
-    ASSERT_TRUE(got.ok()) << dump;
-    EXPECT_EQ(*got, *expected) << dump;
+    ExpectSameAcrossThreads(db, 2, RandomFormula(opts, rng),
+                            PfpCycleDetection::kFloyd, {4});
   }
+  opts.num_vars = 3;
+  EXPECT_GT(FanOutTrials(PfpCycleDetection::kFloyd, rng, opts), 0u);
 }
 
 // --- checked sizing helpers -------------------------------------------------------

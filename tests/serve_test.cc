@@ -789,19 +789,20 @@ TEST(ServeCacheTest, CacheDirPrewarmsARestartedServer) {
   options.cache_dir = tmpl;
 
   const std::vector<std::string> setup = {
-      "open s k=3",
       "domain s 6",
       "rel s E/2 0 1 ; 1 2 ; 2 3 ; 3 4 ; 4 5 ; 5 0 ;",
       StrCat("eval 1 s ", kTcQuery),
       "drain",
   };
-  auto run = [&](std::vector<std::string>* chunks_out) {
+  auto run = [&](std::vector<std::string>* chunks_out,
+                 const std::string& open = "open s k=3") {
     Server server(options);
     std::mutex mu;
     auto emit = [&](const std::string& chunk) {
       std::lock_guard<std::mutex> lock(mu);
       chunks_out->push_back(chunk);
     };
+    server.HandleLine(open, emit);
     for (const std::string& line : setup) server.HandleLine(line, emit);
     server.HandleLine("stats s", emit);
     server.HandleLine("quit", emit);  // snapshots every session
@@ -833,6 +834,23 @@ TEST(ServeCacheTest, CacheDirPrewarmsARestartedServer) {
       << stats(second);
   EXPECT_NE(stats(first).find(" cache_restored=0 "), std::string::npos)
       << stats(first);
+
+  // A memo=0 session never probes its cache: it restores nothing, holds no
+  // cache bytes, and leaves the snapshot for the next memo run to prewarm.
+  std::vector<std::string> no_memo, after_no_memo;
+  run(&no_memo, "open s k=3 memo=0");
+  EXPECT_EQ(block(no_memo), block(first));
+  EXPECT_NE(stats(no_memo).find(" live_bytes=0 "), std::string::npos)
+      << stats(no_memo);
+  EXPECT_NE(stats(no_memo).find(" cache=0 "), std::string::npos)
+      << stats(no_memo);
+  EXPECT_NE(stats(no_memo).find(" cache_bytes=0 cache_entries=0 "
+                                "cache_restored=0 "),
+            std::string::npos)
+      << stats(no_memo);
+  run(&after_no_memo);
+  EXPECT_EQ(stats(after_no_memo).find(" cache_hits=0 "), std::string::npos)
+      << stats(after_no_memo);
 
   // A corrupted snapshot degrades the next restart to a cold start: same
   // bytes out, no hits, no protocol error.
@@ -1011,24 +1029,6 @@ TEST(ServeBatchTest, BatchedResultsAreByteIdenticalToSerialRuns) {
 }
 
 TEST(ServeBatchTest, KillSwitchDegradesToSerialWithIdenticalBytes) {
-  Server server;
-  ChunkSink sink;
-  const auto emit = sink.Emit();
-  server.HandleLine("open s k=3 batch=0", emit);
-  server.HandleLine("domain s 8", emit);
-  server.HandleLine(CycleRelLine("s", 8), emit);
-  server.HandleLine("batch s begin", emit);
-  server.HandleLine(StrCat("batch s eval 1 ", kPathQuery), emit);
-  server.HandleLine(StrCat("batch s eval 2 ", kPathOrEdgeQuery), emit);
-  server.HandleLine("batch s end", emit);
-  server.HandleLine("drain", emit);
-
-  // Planning skipped: zero nodes, dedup 1.00 — but the queries still ran.
-  EXPECT_NE(sink.All().find("ok batch s end queries=2 nodes=0 shared=0 "
-                            "materialized=0 stages=0 dedup=1.00\n"),
-            std::string::npos)
-      << sink.All();
-
   Server ref;
   ChunkSink ref_sink;
   const auto remit = ref_sink.Emit();
@@ -1038,9 +1038,42 @@ TEST(ServeBatchTest, KillSwitchDegradesToSerialWithIdenticalBytes) {
   ref.HandleLine(StrCat("eval 1 s ", kPathQuery), remit);
   ref.HandleLine(StrCat("eval 2 s ", kPathOrEdgeQuery), remit);
   ref.HandleLine("drain", remit);
-  for (const std::size_t id : {1u, 2u}) {
-    ASSERT_NE(ref_sink.Block(id), "") << id;
-    EXPECT_EQ(sink.Block(id), ref_sink.Block(id)) << id;
+
+  // batch=0 is the kill switch; memo=0 turns the session cache off (the
+  // evaluator probes it only under memo), leaving nothing to materialize
+  // into, so the planner must not run either.
+  for (const char* option : {"batch=0", "memo=0"}) {
+    Server server;
+    ChunkSink sink;
+    const auto emit = sink.Emit();
+    server.HandleLine(StrCat("open s k=3 ", option), emit);
+    server.HandleLine("domain s 8", emit);
+    server.HandleLine(CycleRelLine("s", 8), emit);
+    server.HandleLine("batch s begin", emit);
+    server.HandleLine(StrCat("batch s eval 1 ", kPathQuery), emit);
+    server.HandleLine(StrCat("batch s eval 2 ", kPathOrEdgeQuery), emit);
+    server.HandleLine("batch s end", emit);
+    server.HandleLine("drain", emit);
+
+    // Planning skipped: zero nodes, dedup 1.00 — but the queries still ran.
+    EXPECT_NE(sink.All().find("ok batch s end queries=2 nodes=0 shared=0 "
+                              "materialized=0 stages=0 dedup=1.00\n"),
+              std::string::npos)
+        << option << "\n" << sink.All();
+    for (const std::size_t id : {1u, 2u}) {
+      ASSERT_NE(ref_sink.Block(id), "") << id;
+      EXPECT_EQ(sink.Block(id), ref_sink.Block(id)) << option << " " << id;
+    }
+    if (std::string(option) == "memo=0") {
+      server.HandleLine("stats s", emit);
+      EXPECT_NE(sink.All().find(" live_bytes=0 "), std::string::npos)
+          << sink.All();
+      EXPECT_NE(sink.All().find(" cache=0 "), std::string::npos)
+          << sink.All();
+      EXPECT_NE(sink.All().find(" cache_bytes=0 cache_entries=0 "),
+                std::string::npos)
+          << sink.All();
+    }
   }
 }
 

@@ -125,6 +125,9 @@ serve::Server& ServerRef(ShellState& state) {
 // without going through here.
 void Fail(ShellState& state, const std::string& context,
           const std::string& detail) {
+  // stdout is block-buffered when redirected; flush it first so the error
+  // lands after the output that preceded it when both streams share a file.
+  std::fflush(stdout);
   std::fprintf(stderr, "error: %s: %s\n", context.c_str(), detail.c_str());
   state.had_error = true;
 }

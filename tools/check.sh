@@ -27,9 +27,10 @@
 # `ok batch ... end` line and answer every query byte-identically to a
 # cache-off serial run of the same queries.
 #
-# Every tier also runs the cross-query cache smoke and the restart-prewarm
-# smoke (tools/cache_persist_test.sh: quit/restart, corrupted snapshot, and
-# kill -9 after a drain).
+# Every tier also runs the cross-query cache smoke. The restart-prewarm
+# check (tools/cache_persist_test.sh: quit/restart, corrupted snapshot, and
+# kill -9 after a drain) runs inside each tier's ctest as
+# bvqserve_cache_persist, with that tier's bvqserve.
 
 set -euo pipefail
 
@@ -314,18 +315,6 @@ cache_smoke() {
   rm -rf "$tmp"
 }
 
-# Restart-prewarm smoke: tools/cache_persist_test.sh (also the
-# bvqserve_cache_persist ctest) against this tier's binary. Serve, snapshot
-# on quit, restart: byte-identical replies with cache hits; a corrupted
-# snapshot degrades to a cold start; and after kill -9 following a drain,
-# a restart on the same --cache-dir answers byte-identically with hits.
-persist_smoke() {
-  local bvqserve="$1/tools/bvqserve"
-  echo "== restart-prewarm smoke ($bvqserve) =="
-  "$ROOT/tools/cache_persist_test.sh" "$bvqserve"
-  echo "   restart round trips ok (quit, corrupted snapshot, kill -9)"
-}
-
 run_plain=1
 run_tsan=1
 run_asan=1
@@ -334,7 +323,7 @@ case "${1:-}" in
   --plain-only) run_tsan=0; run_asan=0 ;;
   --asan-only) run_plain=0; run_tsan=0 ;;
   --list)
-    echo "plain  build + ctest + bench/serve/batch/cache/persist smokes"
+    echo "plain  build + ctest + bench/serve/batch/cache smokes"
     echo "tsan   the same under -DBVQ_SANITIZE=thread, BVQ_THREADS=4"
     echo "asan   the same under -DBVQ_SANITIZE=address,undefined"
     exit 0 ;;
@@ -358,7 +347,6 @@ if [[ $run_plain -eq 1 ]]; then
   serve_smoke "$ROOT/build"
   batch_smoke "$ROOT/build"
   cache_smoke "$ROOT/build"
-  persist_smoke "$ROOT/build"
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
@@ -370,7 +358,6 @@ if [[ $run_tsan -eq 1 ]]; then
   BVQ_THREADS=4 serve_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 batch_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 cache_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 persist_smoke "$ROOT/build-tsan"
 fi
 
 if [[ $run_asan -eq 1 ]]; then
@@ -385,7 +372,6 @@ if [[ $run_asan -eq 1 ]]; then
   serve_smoke "$ROOT/build-asan"
   batch_smoke "$ROOT/build-asan"
   cache_smoke "$ROOT/build-asan"
-  persist_smoke "$ROOT/build-asan"
 fi
 
 echo "check.sh: all requested passes green"
