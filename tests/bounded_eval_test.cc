@@ -172,13 +172,15 @@ TEST_P(FoAgreementTest, BoundedMatchesReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, FoAgreementTest,
-    ::testing::Values(PropertyCase{2, 2, false}, PropertyCase{3, 2, false},
-                      PropertyCase{4, 3, false}, PropertyCase{2, 3, false},
-                      PropertyCase{3, 3, false}, PropertyCase{2, 2, true},
-                      PropertyCase{3, 2, true}, PropertyCase{3, 3, true},
-                      PropertyCase{4, 2, true}));
+// gtest names each case by the bytes of its PropertyCase, padding included;
+// a static array is zero-initialized, padding and all, so the names are the
+// same on every run (temporaries would leave stack garbage in the padding).
+constexpr PropertyCase kPropertyCases[] = {
+    {2, 2, false}, {3, 2, false}, {4, 3, false}, {2, 3, false}, {3, 3, false},
+    {2, 2, true},  {3, 2, true},  {3, 3, true},  {4, 2, true}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FoAgreementTest,
+                         ::testing::ValuesIn(kPropertyCases));
 
 }  // namespace
 }  // namespace bvq

@@ -262,16 +262,18 @@ TEST(EsoDifferentialFuzz, IncrementalMatchesScratch) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DifferentialFuzz,
-    ::testing::Values(FuzzCase{2, false, false, false, 11},
-                      FuzzCase{3, false, false, false, 12},
-                      FuzzCase{2, true, false, false, 13},
-                      FuzzCase{3, true, false, false, 14},
-                      FuzzCase{2, true, true, false, 15},
-                      FuzzCase{2, true, false, true, 16},
-                      FuzzCase{2, true, true, true, 17},
-                      FuzzCase{3, true, true, true, 18}));
+// gtest names each case by the bytes of its FuzzCase, padding included. A
+// static array is zero-initialized, padding and all, so the names are the
+// same on every run; temporaries in ::testing::Values() would leave stack
+// garbage in the padding and make the names differ between runs.
+constexpr FuzzCase kFuzzCases[] = {
+    {2, false, false, false, 11}, {3, false, false, false, 12},
+    {2, true, false, false, 13},  {3, true, false, false, 14},
+    {2, true, true, false, 15},   {2, true, false, true, 16},
+    {2, true, true, true, 17},    {3, true, true, true, 18}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialFuzz,
+                         ::testing::ValuesIn(kFuzzCases));
 
 }  // namespace
 }  // namespace bvq
