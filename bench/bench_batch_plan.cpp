@@ -166,6 +166,51 @@ std::vector<std::string> RunBatched(const Database& db,
   return payloads;
 }
 
+// Concurrent pass: the same queries sent as plain evals all at once, on
+// the server's default 8 lanes — the traffic of a client that simply
+// pipelines its `eval` lines. Each query goes through admission and its
+// own governor; sharing comes only from the session's answer cache.
+std::vector<std::string> RunConcurrent(const Database& db,
+                                       const std::vector<std::string>& queries,
+                                       double* ms) {
+  serve::Server server;
+  if (!server.Open("s", SessionOpts(), db).ok()) std::exit(1);
+  struct Sink {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::map<std::uint64_t, std::string> payloads;
+    std::size_t failed = 0;
+  } sink;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    Status s = server.EvalAsyncWithId(
+        i + 1, "s", queries[i], [&sink](const serve::EvalOutcome& out) {
+          {
+            std::lock_guard<std::mutex> lock(sink.mutex);
+            sink.payloads[out.id] = out.payload;
+            if (!out.status.ok()) ++sink.failed;
+          }
+          sink.cv.notify_all();
+        });
+    if (!s.ok()) std::exit(1);
+  }
+  {
+    std::unique_lock<std::mutex> lock(sink.mutex);
+    sink.cv.wait(lock,
+                 [&] { return sink.payloads.size() == queries.size(); });
+  }
+  *ms = MsSince(start);
+  if (sink.failed != 0) {
+    std::fprintf(stderr, "%zu concurrent queries failed\n", sink.failed);
+    std::exit(1);
+  }
+  std::vector<std::string> payloads;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    payloads.push_back(sink.payloads[i + 1]);
+  }
+  return payloads;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -210,29 +255,34 @@ int main(int argc, char** argv) {
     const std::vector<std::string> reference =
         RunSerial(db, queries, /*cache=*/false, &ref_ms);
 
-    std::vector<double> serial_times, batch_times;
+    std::vector<double> serial_times, batch_times, concurrent_times;
     plan::BatchStats stats;
     for (std::size_t r = 0; r < reps; ++r) {
-      double serial_ms = 0, batch_ms = 0;
+      double serial_ms = 0, batch_ms = 0, concurrent_ms = 0;
       const auto serial =
           RunSerial(db, queries, /*cache=*/true, &serial_ms);
       const auto batched = RunBatched(db, queries, &batch_ms, &stats);
+      const auto concurrent = RunConcurrent(db, queries, &concurrent_ms);
       serial_times.push_back(serial_ms);
       batch_times.push_back(batch_ms);
+      concurrent_times.push_back(concurrent_ms);
       for (std::size_t q = 0; q < count; ++q) {
         all_identical = all_identical && serial[q] == reference[q] &&
-                        batched[q] == reference[q];
+                        batched[q] == reference[q] &&
+                        concurrent[q] == reference[q];
       }
     }
     if (count > 1 && stats.dedup_ratio <= 1.0) all_shared = false;
     const double serial_ms = MinMs(serial_times);
     const double batch_ms = MinMs(batch_times);
+    const double concurrent_ms = MinMs(concurrent_times);
     const double speedup = batch_ms > 0 ? serial_ms / batch_ms : 0;
     std::printf(
-        "N=%-3zu off %9.3f ms   serial %9.3f ms   batched %9.3f ms   %5.2fx   "
+        "N=%-3zu off %9.3f ms   serial %9.3f ms   batched %9.3f ms   "
+        "concurrent %9.3f ms   %5.2fx   "
         "nodes %zu (%zu shared, %zu materialized), %zu stages, dedup %.2f   "
         "%s\n",
-        count, ref_ms, serial_ms, batch_ms, speedup, stats.nodes,
+        count, ref_ms, serial_ms, batch_ms, concurrent_ms, speedup, stats.nodes,
         stats.shared_nodes, stats.materialized, stats.stages,
         stats.dedup_ratio, all_identical ? "identical" : "MISMATCH");
 
@@ -240,12 +290,13 @@ int main(int argc, char** argv) {
     std::snprintf(
         buf, sizeof(buf),
         "    {\"queries\": %zu, \"serial_off_ms\": %.4f, "
-        "\"serial_ms\": %.4f, \"batched_ms\": %.4f,\n"
+        "\"serial_ms\": %.4f, \"batched_ms\": %.4f, "
+        "\"concurrent_ms\": %.4f,\n"
         "     \"speedup\": %.3f, \"nodes\": %zu, \"shared_nodes\": %zu,\n"
         "     \"materialized\": %zu, \"stages\": %zu, \"dedup_ratio\": %.3f,\n"
         "     \"identical\": %s}%s\n",
-        count, ref_ms, serial_ms, batch_ms, speedup, stats.nodes,
-        stats.shared_nodes, stats.materialized, stats.stages,
+        count, ref_ms, serial_ms, batch_ms, concurrent_ms, speedup,
+        stats.nodes, stats.shared_nodes, stats.materialized, stats.stages,
         stats.dedup_ratio, all_identical ? "true" : "false",
         size_i + 1 < sizes.size() ? "," : "");
     rows += buf;
