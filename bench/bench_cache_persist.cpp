@@ -1,6 +1,9 @@
-// Restart-prewarm bench: the answer-cache persistence path (DESIGN.md §13)
-// measured end to end. Three passes over the same fixpoint query batch:
+// Cross-query answer cache bench: the session-level AnswerCache
+// (DESIGN.md §11) and its persistence path (DESIGN.md §13), measured on a
+// batch of fixpoint queries that a client replays against an unchanged
+// database. Four passes over the same queries:
 //
+//   off         no cache attached (the seed evaluation path, reference)
 //   cold        fresh process, empty cache (populates it)
 //   prewarmed   "restarted" process — a *new* cache and a *new* interner
 //               over a reparse of the same database (every version nonce
@@ -9,9 +12,10 @@
 //               (ExportResolved → encode → decode → Restore → ResolveAgainst)
 //   warm        same process, same cache, immediate replay (the ceiling)
 //
-// The interesting number is how close prewarmed gets to warm: persistence
-// is worth shipping only if a restarted server's first batch costs probe
-// time, not fixpoint time.
+// Warm-over-cold is what the cache buys a replayed query: its root subtree
+// is one version-keyed probe instead of a fixpoint computation. Prewarmed
+// against warm is what persistence buys a restarted server: its first
+// queries should cost probe time, not fixpoint time.
 //
 // Custom main (not google/benchmark) so it can emit the BENCH_persist.json
 // record the perf trajectory is tracked with:
@@ -19,10 +23,11 @@
 //   bench_cache_persist [--n=40] [--reps=3] [--threads=1]
 //                       [--out=BENCH_persist.json]
 //
-// Timing is min-of-reps per pass. Before any number is written, every
-// prewarmed and warm answer is asserted byte-identical to a cache-off
-// reference run, and the prewarmed pass must actually hit; either failure
-// exits 1.
+// Timing is min-of-reps per cached pass (the cache-off reference runs
+// once). Before any number is written, every cold, prewarmed and warm
+// answer is asserted byte-identical to the cache-off reference run, and the
+// prewarmed and warm passes must each actually hit: a replay with zero
+// cache hits is a failure, not a slow run. Any of these failures exits 1.
 
 #include <algorithm>
 #include <cassert>
@@ -30,6 +35,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,8 +52,8 @@ namespace {
 
 using namespace bvq;
 
-// Same loop-invariant guard as bench_cache_warm: each conjunct costs
-// kernel sweeps that a prewarmed hit avoids recomputing after a restart.
+// Same loop-invariant guard as bench_memo_ablation: each conjunct costs
+// kernel sweeps that a cache hit avoids recomputing.
 const char kInvariantGuard[] =
     "(forall x2 . exists x3 . (E(x2,x3) | x2 = x3)) & "
     "(forall x3 . exists x2 . (E(x2,x3) | x2 = x3)) & "
@@ -177,7 +183,7 @@ int main(int argc, char** argv) {
 
   std::vector<double> cold_times, prewarmed_times, warm_times, codec_times;
   PassResult prewarmed_last, warm_last;
-  std::uint64_t prewarmed_hits = 0;
+  std::uint64_t prewarmed_hits = 0, warm_hits = 0;
   std::size_t snapshot_bytes = 0, restored_entries = 0;
   bool all_identical = true;
   for (std::size_t r = 0; r < reps; ++r) {
@@ -228,6 +234,7 @@ int main(int argc, char** argv) {
 
     const PassResult warm = RunBatch(db, batch, &cache, threads);
     warm_times.push_back(warm.ms);
+    warm_hits = warm.cache_hits;
 
     for (std::size_t q = 0; q < batch.size(); ++q) {
       all_identical = all_identical &&
@@ -247,9 +254,10 @@ int main(int argc, char** argv) {
   std::printf(
       "batch of %zu queries on n=%zu: cold %8.3f ms   prewarmed %8.3f ms   "
       "warm %8.3f ms   codec %6.3f ms   cold-over-prewarmed %5.2fx   "
-      "prewarmed hits %llu   snapshot %zu B   %s\n",
+      "prewarmed hits %llu   warm hits %llu   snapshot %zu B   %s\n",
       batch.size(), n, cold_ms, prewarmed_ms, warm_ms, codec_ms, speedup,
-      static_cast<unsigned long long>(prewarmed_hits), snapshot_bytes,
+      static_cast<unsigned long long>(prewarmed_hits),
+      static_cast<unsigned long long>(warm_hits), snapshot_bytes,
       all_identical ? "identical" : "MISMATCH");
   for (std::size_t q = 0; q < batch.size(); ++q) {
     std::printf("  %-22s %s\n", names[q].c_str(),
@@ -262,6 +270,8 @@ int main(int argc, char** argv) {
   json += "  \"config\": {\n";
   json += "    \"domain_size\": " + std::to_string(n) + ",\n";
   json += "    \"k\": 3,\n";
+  json += "    \"host_cores\": " +
+          std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "    \"threads\": " + std::to_string(threads) + ",\n";
   json += "    \"reps\": " + std::to_string(reps) + ",\n";
   json += "    \"queries\": " + std::to_string(batch.size()) + ",\n";
@@ -272,10 +282,12 @@ int main(int argc, char** argv) {
       "  \"cold_ms\": %.4f,\n  \"prewarmed_ms\": %.4f,\n"
       "  \"warm_ms\": %.4f,\n  \"off_ms\": %.4f,\n  \"codec_ms\": %.4f,\n"
       "  \"speedup\": %.3f,\n  \"prewarmed_cache_hits\": %llu,\n"
+      "  \"warm_cache_hits\": %llu,\n"
       "  \"restored_entries\": %zu,\n  \"snapshot_bytes\": %zu,\n"
       "  \"identical\": %s,\n",
       cold_ms, prewarmed_ms, warm_ms, reference.ms, codec_ms, speedup,
-      static_cast<unsigned long long>(prewarmed_hits), restored_entries,
+      static_cast<unsigned long long>(prewarmed_hits),
+      static_cast<unsigned long long>(warm_hits), restored_entries,
       snapshot_bytes, all_identical ? "true" : "false");
   json += buf;
   json += "  \"workloads\": [\n";
@@ -296,6 +308,10 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
   if (prewarmed_hits == 0) {
     std::fprintf(stderr, "prewarmed pass never hit the cache\n");
+    return 1;
+  }
+  if (warm_hits == 0) {
+    std::fprintf(stderr, "warm pass never hit the cache\n");
     return 1;
   }
   return all_identical ? 0 : 1;

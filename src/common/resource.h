@@ -38,15 +38,15 @@ struct ResourceStats {
 
 /// A shared cancellation token plus byte-level memory accountant.
 ///
-/// One governor scopes one query (or one batch the caller wants governed as
-/// a unit). Evaluators poll `Check()` at coarse grain (per subformula node,
-/// per fixpoint stage, every N SAT conflicts) and charge the bytes of every
-/// long-lived allocation (assignment-set cubes, fixpoint iterates, memo
-/// entries, CNF + learnt clauses) via `Charge()`/`Release()`. The trip flag
-/// is *sticky*: once a deadline, budget, or explicit Cancel() fires, every
-/// subsequent Check()/Charge() returns the same non-OK status until Reset(),
-/// so an in-flight parallel sweep converges to a clean error instead of a
-/// half-computed answer.
+/// One governor scopes one query; a session's longer-lived limits sit in a
+/// parent governor (see below). Evaluators poll `Check()` at coarse grain
+/// (per subformula node, per fixpoint stage, every N SAT conflicts) and
+/// charge the bytes of every long-lived allocation (assignment-set cubes,
+/// fixpoint iterates, memo entries, CNF + learnt clauses) via
+/// `Charge()`/`Release()`. The trip flag is *sticky*: once a deadline,
+/// budget, or explicit Cancel() fires, every subsequent Check()/Charge()
+/// returns the same non-OK status until Reset(), so an in-flight parallel
+/// sweep converges to a clean error instead of a half-computed answer.
 ///
 /// Thread safety: all members are safe to call concurrently; workers observe
 /// the token through `stop_flag()` (plain atomic load, no lock).

@@ -132,8 +132,8 @@ struct BoundedEvalOptions {
   /// `memo = false` the cache is inert. See DESIGN.md §11.
   AnswerCache* answer_cache = nullptr;
   /// Kill switch for the cross-query cache: `false` ignores answer_cache
-  /// entirely and restores the per-query evaluation of PR 2 (the ablation
-  /// arm of bench_cache_warm; answers are byte-identical either way).
+  /// entirely and evaluates each query on its own (the cache-off arm of
+  /// bench_cache_persist; answers are byte-identical either way).
   bool cross_query_cache = true;
   /// Optional resource governor (not owned; must outlive the evaluator's
   /// public calls). When set, Eval polls its token per subformula node and

@@ -12,36 +12,20 @@
 #include "eval/cache_snapshot.h"
 #include "logic/analysis.h"
 #include "logic/parser.h"
-#include "plan/batch_executor.h"
 
 namespace bvq::serve {
-
-namespace {
-
-// "%.2f" — the protocol's dedup_ratio rendering (StrCat would stream a
-// locale-defaulted precision).
-std::string FormatRatio(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", value);
-  return buf;
-}
-
-}  // namespace
 
 const std::string& ProtocolHelpText() {
   static const std::string kHelp = StrCat(
       "ok help\n",
       "  open <s> [k=N] [threads=N] [memo=0|1] [deadline-ms=N]"
       " [mem-budget-mb=N] [session-deadline-ms=N] [session-mem-budget-mb=N]"
-      " [reserve-mb=N] [cache=0|1] [cache-mb=N] [batch=0|1]"
+      " [reserve-mb=N] [cache=0|1] [cache-mb=N]"
       "  open a session\n",
       "  domain <s> <n>                    set the domain size\n",
       "  rel <s> <name>/<arity> <v..> ;    add or replace a relation\n",
       "  load <s> <path>                   load a database file\n",
       "  eval <id> <s> <query>             evaluate asynchronously\n",
-      "  batch <s> begin                   start collecting a batch\n",
-      "  batch <s> eval <id> <query>       add a query to the batch\n",
-      "  batch <s> end                     plan shared work, run the batch\n",
       "  cancel <id>                       cancel an in-flight query\n",
       "  close <s>                         close a session\n",
       "  cache <s> on|off|clear            cross-query answer cache switch\n",
@@ -132,18 +116,6 @@ Status Server::Open(const std::string& session, SessionOptions options,
 Status Server::Close(const std::string& session) {
   auto found = sessions_.Get(session);
   if (!found.ok()) return found.status();
-  // A batch still being collected has no submitted tasks; its ids would
-  // otherwise sit in the registry forever. Dropping them here means those
-  // ids never produce result blocks — closing mid-batch abandons it.
-  {
-    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-    auto it = batches_.find(session);
-    if (it != batches_.end() && it->second.session == *found) {
-      std::lock_guard<std::mutex> lock(registry_mutex_);
-      for (const auto& [id, text] : it->second.queries) in_flight_.erase(id);
-      batches_.erase(it);
-    }
-  }
   // Cancel the session's in-flight queries; they finish as Cancelled on
   // the detached object after the name is released below.
   std::vector<CancelHandle> handles;
@@ -208,135 +180,6 @@ EvalOutcome Server::EvalSync(const std::string& session,
     return out;
   }
   return future.get();
-}
-
-Status Server::BatchBegin(const std::string& session) {
-  auto found = sessions_.Get(session);
-  if (!found.ok()) return found.status();
-  std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-  auto [it, inserted] = batches_.emplace(session, PendingBatch{});
-  if (!inserted) {
-    return Status::InvalidArgument(
-        StrCat("a batch is already in progress for session ", session));
-  }
-  it->second.session = *found;
-  return Status::OK();
-}
-
-Status Server::BatchAddWithId(std::uint64_t id, const std::string& session,
-                              const std::string& query) {
-  std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-  auto it = batches_.find(session);
-  if (it == batches_.end()) {
-    return Status::InvalidArgument(
-        StrCat("no batch in progress for session ", session));
-  }
-  {
-    // Registering now is what makes `cancel <id>` work before BatchEnd:
-    // the cancel flag is polled by admission and bound to the governor
-    // when the query eventually runs, exactly like a queued eval.
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    if (in_flight_.count(id) != 0) {
-      return Status::InvalidArgument(
-          StrCat("query id ", id, " is already in flight"));
-    }
-    InFlight entry;
-    entry.session = it->second.session;
-    entry.cancel = std::make_shared<CancelState>();
-    in_flight_.emplace(id, std::move(entry));
-  }
-  it->second.queries.emplace_back(id, query);
-  return Status::OK();
-}
-
-Result<plan::BatchStats> Server::BatchEnd(
-    const std::string& session, std::function<void(const EvalOutcome&)> done) {
-  PendingBatch batch;
-  {
-    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-    auto it = batches_.find(session);
-    if (it == batches_.end()) {
-      return Status::InvalidArgument(
-          StrCat("no batch in progress for session ", session));
-    }
-    batch = std::move(it->second);
-    batches_.erase(it);
-  }
-  std::shared_ptr<Session> target = batch.session;
-
-  plan::BatchStats stats;
-  stats.queries = batch.queries.size();
-  // The kill switch (`open ... batch=0`), a disabled cache (nowhere to
-  // materialize into), and trivial batches all degrade to plain serial
-  // submission — same queries, same governors, byte-identical results.
-  auto built = std::make_shared<plan::BatchPlan>();
-  std::vector<std::size_t> planned;  // planner query index -> batch index
-  if (target->options().batch && target->cache_enabled() &&
-      batch.queries.size() >= 2) {
-    std::vector<Query> parsed;
-    for (std::size_t i = 0; i < batch.queries.size(); ++i) {
-      // Unparseable queries stay out of the plan; their own eval reproduces
-      // the identical parse error.
-      auto q = ParseQuery(batch.queries[i].second);
-      if (!q.ok()) continue;
-      parsed.push_back(std::move(*q));
-      planned.push_back(i);
-    }
-    std::shared_lock<std::shared_mutex> db_lock(target->db_mutex());
-    auto plan = plan::PlanBatch(std::move(parsed), target->db(),
-                                target->options().num_vars,
-                                target->cache()->interner());
-    if (plan.ok()) {
-      *built = std::move(*plan);
-      stats = built->stats;
-      stats.queries = batch.queries.size();
-    }
-  }
-  target->batches.fetch_add(1, std::memory_order_relaxed);
-  target->batch_queries.fetch_add(stats.queries, std::memory_order_relaxed);
-  target->batch_shared.fetch_add(stats.shared_nodes,
-                                 std::memory_order_relaxed);
-  target->batch_materialized.fetch_add(stats.materialized,
-                                       std::memory_order_relaxed);
-
-  // Cancellation slots of the batch's queries, for the executor's
-  // refcounted ownership poll (planner query index -> slot).
-  std::vector<std::shared_ptr<CancelState>> cancels(batch.queries.size());
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (std::size_t i = 0; i < batch.queries.size(); ++i) {
-      auto it = in_flight_.find(batch.queries[i].first);
-      if (it != in_flight_.end()) cancels[i] = it->second.cancel;
-    }
-  }
-
-  // One orchestration task: materialize the shared nodes, then submit every
-  // query through the ordinary eval path (admission, pooled per-query
-  // governor, cancellation — all intact). The task submits and returns
-  // rather than waiting on the roots, so a single-lane executor cannot
-  // deadlock on its own batch.
-  Submit([this, target, batch = std::move(batch), built,
-          planned = std::move(planned), cancels = std::move(cancels),
-          done = std::move(done)]() mutable {
-    if (built->stats.materialized > 0) {
-      std::shared_lock<std::shared_mutex> db_lock(target->db_mutex());
-      plan::BatchExecOptions exec;
-      exec.cache = target->cache();
-      exec.eval = target->options().eval;
-      exec.query_cancelled = [&](std::size_t qi) {
-        const auto& cancel = cancels[planned[qi]];
-        return cancel != nullptr &&
-               cancel->requested.load(std::memory_order_acquire);
-      };
-      plan::MaterializeShared(*built, target->db(), exec);
-    }
-    for (const auto& [id, query] : batch.queries) {
-      Submit([this, id, target, query = query, done]() mutable {
-        RunEval(id, target, std::move(query), done);
-      });
-    }
-  });
-  return stats;
 }
 
 Status Server::Cancel(std::uint64_t id, const std::string& reason) {
@@ -562,12 +405,7 @@ Result<std::string> Server::StatsLine(const std::string& session) const {
       " cache_misses=", (*found)->cache_misses.load(),
       " cache_evictions=", c.evictions, " cache_bytes=", c.bytes,
       " cache_entries=", c.entries, " cache_restored=", c.restored,
-      " cache_pending=", c.pending,
-      " batch=", (*found)->options().batch ? 1 : 0,
-      " batches=", (*found)->batches.load(),
-      " batch_queries=", (*found)->batch_queries.load(),
-      " batch_shared=", (*found)->batch_shared.load(),
-      " batch_materialized=", (*found)->batch_materialized.load());
+      " cache_pending=", c.pending);
 }
 
 void Server::EmitChunk(const Emit& emit, const std::string& chunk) {
@@ -592,7 +430,7 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
     closed_.store(true, std::memory_order_release);
     if (!options_.cache_dir.empty()) {
       // Let in-flight evals finish inserting before the final snapshot, so
-      // a quit right after an eval batch persists that batch's warmth.
+      // a quit right after a run of evals persists their warmth.
       Drain();
       SaveAllSessionCaches();
     }
@@ -632,8 +470,6 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
         so.cross_query_cache = value != 0;
       } else if (key == "cache-mb") {
         so.cache_max_bytes = value << 20;
-      } else if (key == "batch") {
-        so.batch = value != 0;
       } else {
         return err(StrCat("open ", name, ": unknown option ", kv));
       }
@@ -760,68 +596,6 @@ void Server::HandleLine(const std::string& line, const Emit& emit) {
     ok(StrCat("eval ", id));
     acked->set_value();
     return;
-  }
-  if (cmd == "batch") {
-    std::string name, sub;
-    if (!(is >> name) || !(is >> sub)) {
-      return err(StrCat("batch: expected <session> begin|eval|end, got ",
-                        trimmed));
-    }
-    if (sub == "begin") {
-      Status s = BatchBegin(name);
-      if (!s.ok()) return err(StrCat("batch ", name, " begin: ",
-                                     s.ToString()));
-      return ok(StrCat("batch ", name, " begin"));
-    }
-    if (sub == "eval") {
-      std::string id_tok;
-      std::size_t id = 0;
-      if (!(is >> id_tok) || !ParseSizeT(id_tok, &id)) {
-        return err(StrCat("batch: expected <session> eval <id> <query>, got ",
-                          trimmed));
-      }
-      std::string query;
-      std::getline(is, query);
-      Status s = BatchAddWithId(id, name, query);
-      if (!s.ok()) {
-        return err(StrCat("batch ", name, " eval ", id, ": ", s.ToString()));
-      }
-      return ok(StrCat("batch ", name, " eval ", id));
-    }
-    if (sub == "end") {
-      // Same ack gate as eval: the stats ok-line must reach the client
-      // before the first result block a fast worker could emit.
-      auto acked = std::make_shared<std::promise<void>>();
-      std::shared_future<void> gate = acked->get_future().share();
-      auto ended =
-          BatchEnd(name, [this, emit, gate](const EvalOutcome& o) {
-            gate.wait();
-            std::string block;
-            if (o.status.ok()) {
-              block = StrCat("result ", o.id, " ok\n", o.payload, "end ",
-                             o.id, "\n");
-            } else {
-              block = StrCat("result ", o.id, " error ",
-                             StatusCodeName(o.status.code()), "\n  ",
-                             o.status.ToString(), "\nend ", o.id, "\n");
-            }
-            EmitChunk(emit, block);
-          });
-      if (!ended.ok()) {
-        acked->set_value();
-        return err(StrCat("batch ", name, " end: ",
-                          ended.status().ToString()));
-      }
-      ok(StrCat("batch ", name, " end queries=", ended->queries,
-                " nodes=", ended->nodes, " shared=", ended->shared_nodes,
-                " materialized=", ended->materialized,
-                " stages=", ended->stages,
-                " dedup=", FormatRatio(ended->dedup_ratio)));
-      acked->set_value();
-      return;
-    }
-    return err(StrCat("batch ", name, ": expected begin|eval|end, got ",
-                      sub));
   }
   if (cmd == "help") {
     EmitChunk(emit, ProtocolHelpText());

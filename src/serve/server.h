@@ -18,7 +18,6 @@
 #include "common/status.h"
 #include "db/relation.h"
 #include "eval/bounded_eval.h"
-#include "plan/batch_planner.h"
 #include "serve/admission.h"
 #include "serve/session.h"
 
@@ -114,29 +113,6 @@ class Server {
   /// (admission, parse, evaluation, unknown session) are in `status`.
   EvalOutcome EvalSync(const std::string& session, const std::string& query);
 
-  // ---- Batches (DESIGN.md §14) -------------------------------------------
-  // A batch collects queries without running them; `BatchEnd` plans the
-  // set as one shared-subformula DAG (src/plan/), materializes shared
-  // nodes into the session cache once, then submits every query through
-  // the ordinary eval path — results are byte-identical to serial runs.
-
-  /// Starts collecting a batch for `session`. InvalidArgument if one is
-  /// already being collected.
-  Status BatchBegin(const std::string& session);
-  /// Adds a query to the session's pending batch under a caller-chosen id.
-  /// The id is registered for cancellation immediately (a `cancel <id>`
-  /// before BatchEnd marks the query cancelled); InvalidArgument if it is
-  /// already in flight or no batch is being collected.
-  Status BatchAddWithId(std::uint64_t id, const std::string& session,
-                        const std::string& query);
-  /// Plans and launches the pending batch; `done` is invoked once per query
-  /// from worker threads, exactly as EvalAsync would. Returns the plan's
-  /// stats (zero nodes / dedup 1.0 when planning was skipped: batch=0 kill
-  /// switch, cache off, or a single-query batch).
-  Result<plan::BatchStats> BatchEnd(
-      const std::string& session,
-      std::function<void(const EvalOutcome&)> done);
-
   /// Cancels the in-flight query `id` (queued or running). NotFound once
   /// the query has completed or the id never existed.
   Status Cancel(std::uint64_t id,
@@ -174,15 +150,6 @@ class Server {
     std::shared_ptr<ResourceGovernor> governor;  // null until admitted
   };
 
-  // A batch being collected (BatchBegin .. BatchEnd), keyed by session
-  // name. Queries are (id, text) in submission order; their ids are
-  // already registered in in_flight_ for cancellation. Lock order:
-  // batch_mutex_ before registry_mutex_, never the reverse.
-  struct PendingBatch {
-    std::shared_ptr<Session> session;
-    std::vector<std::pair<std::uint64_t, std::string>> queries;
-  };
-
   void RunEval(std::uint64_t id, std::shared_ptr<Session> session,
                std::string query,
                std::function<void(const EvalOutcome&)> done);
@@ -213,9 +180,6 @@ class Server {
   mutable std::mutex registry_mutex_;
   std::map<std::uint64_t, InFlight> in_flight_;
   std::uint64_t next_id_ = 1;
-
-  std::mutex batch_mutex_;
-  std::map<std::string, PendingBatch> batches_;
 
   std::mutex task_mutex_;
   std::condition_variable task_cv_;

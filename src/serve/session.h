@@ -51,11 +51,6 @@ struct SessionOptions {
   /// if one is set (the cache is charged against it and must never be able
   /// to pin the whole session account), else kDefaultCacheMaxBytes.
   std::size_t cache_max_bytes = 0;
-  /// Kill switch for the batch planner (protocol `open ... batch=0`).
-  /// Off — or a disabled answer cache, which the planner materializes
-  /// into — degrades `batch ... end` to plain serial submission of the
-  /// batch's queries; results are byte-identical either way.
-  bool batch = true;
 };
 
 /// Default AnswerCache residency cap for sessions without an explicit
@@ -168,13 +163,6 @@ class Session {
   std::atomic<std::uint64_t> memo_misses{0};
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> cache_misses{0};
-  // Batch-planner counters (DESIGN.md §14): batches ended, queries they
-  // carried, DAG nodes shared by >= 2 queries, and nodes the executor was
-  // asked to materialize — cumulative across the session's batches.
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> batch_queries{0};
-  std::atomic<std::uint64_t> batch_shared{0};
-  std::atomic<std::uint64_t> batch_materialized{0};
 
  private:
   const std::string name_;

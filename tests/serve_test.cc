@@ -520,6 +520,24 @@ TEST(ServeTest, StaleCancelHandleCannotCancelReusedPooledToken) {
 
 // --- protocol surface ------------------------------------------------------------
 
+// Collects protocol chunks in arrival order.
+struct ChunkSink {
+  std::mutex mutex;
+  std::vector<std::string> chunks;
+  Server::Emit Emit() {
+    return [this](const std::string& chunk) {
+      std::lock_guard<std::mutex> lock(mutex);
+      chunks.push_back(chunk);
+    };
+  }
+  std::string All() {
+    std::lock_guard<std::mutex> lock(mutex);
+    std::string all;
+    for (const auto& chunk : chunks) all += chunk;
+    return all;
+  }
+};
+
 TEST(ServeProtocolTest, FullSessionConversation) {
   Server server;
   std::mutex mu;
@@ -548,6 +566,9 @@ TEST(ServeProtocolTest, FullSessionConversation) {
   server.HandleLine("close slow", emit);
   server.HandleLine("close s1", emit);
   server.HandleLine("bogus command", emit);
+  // Unknown verbs and unknown open options fail cleanly.
+  server.HandleLine("batch s begin", emit);
+  server.HandleLine("open t batch=0", emit);
   server.HandleLine("quit", emit);
   EXPECT_TRUE(server.closed());
 
@@ -583,6 +604,12 @@ TEST(ServeProtocolTest, FullSessionConversation) {
   EXPECT_NE(all.find("err unknown command \"bogus\"; try help"),
             std::string::npos)
       << all;
+  EXPECT_NE(all.find("err unknown command \"batch\"; try help\n"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("err open t: unknown option batch=0\n"),
+            std::string::npos)
+      << all;
   EXPECT_NE(all.find("ok quit\n"), std::string::npos) << all;
 
   // After the close, the aggregate stats report no sessions and no bytes.
@@ -593,6 +620,24 @@ TEST(ServeProtocolTest, FullSessionConversation) {
   ASSERT_EQ(after.size(), 1u);
   EXPECT_NE(after[0].find("stats sessions=0"), std::string::npos) << after[0];
   EXPECT_NE(after[0].find("reserved_bytes=0"), std::string::npos) << after[0];
+}
+
+TEST(ServeProtocolTest, HelpListsEveryProtocolCommand) {
+  Server server;
+  ChunkSink sink;
+  server.HandleLine("help", sink.Emit());
+  const std::string all = sink.All();
+  EXPECT_EQ(all.rfind("ok help\n", 0), 0u) << all;
+  for (const char* cmd :
+       {"open ", "domain ", "rel ", "load ", "eval ", "cancel ", "close ",
+        "cache ", "stats ", "drain", "help", "quit"}) {
+    EXPECT_NE(all.find(StrCat("\n  ", cmd)), std::string::npos) << cmd;
+  }
+  // Unknown commands point at it and echo the offending token.
+  server.HandleLine("frobnicate now", sink.Emit());
+  EXPECT_NE(sink.All().find("err unknown command \"frobnicate\"; try help\n"),
+            std::string::npos)
+      << sink.All();
 }
 
 // --- cross-query answer cache through the server ---------------------------
@@ -770,15 +815,6 @@ TEST(ServeProtocolTest, StrictNumericParsingRejectsGarbage) {
   EXPECT_EQ(server.sessions().size(), 0u);
 }
 
-// Builds a "rel <session> E/2 .." request line for an n-cycle.
-std::string CycleRelLine(const std::string& session, std::size_t n) {
-  std::string line = StrCat("rel ", session, " E/2");
-  for (std::size_t i = 0; i < n; ++i) {
-    line += StrCat(" ", i, " ", (i + 1) % n, " ;");
-  }
-  return line;
-}
-
 TEST(ServeCacheTest, CacheDirPrewarmsARestartedServer) {
   // Two Server instances sharing a cache dir stand in for a process
   // restart: the second serves its first query with cache hits and a
@@ -944,258 +980,6 @@ TEST(ServeCacheTest, ProtocolCacheSaveRestoreCommands) {
   EXPECT_NE(all().find(expected_block2), std::string::npos) << all();
   std::remove(file.c_str());
   std::remove(garbage.c_str());
-}
-
-// --- batched queries (DESIGN.md §14) ---------------------------------------
-
-// Collects protocol chunks and retrieves result blocks by id.
-struct ChunkSink {
-  std::mutex mutex;
-  std::vector<std::string> chunks;
-  Server::Emit Emit() {
-    return [this](const std::string& chunk) {
-      std::lock_guard<std::mutex> lock(mutex);
-      chunks.push_back(chunk);
-    };
-  }
-  std::string All() {
-    std::lock_guard<std::mutex> lock(mutex);
-    std::string all;
-    for (const auto& chunk : chunks) all += chunk;
-    return all;
-  }
-  std::string Block(std::size_t id) {
-    std::lock_guard<std::mutex> lock(mutex);
-    const std::string prefix = StrCat("result ", id, " ");
-    for (const auto& chunk : chunks) {
-      if (chunk.rfind(prefix, 0) == 0) return chunk;
-    }
-    return "";
-  }
-};
-
-constexpr char kPathQuery[] = "(x1,x2) exists x3 . (E(x1,x3) & E(x3,x2))";
-constexpr char kPathOrEdgeQuery[] =
-    "(x1,x2) exists x3 . (E(x1,x3) & E(x3,x2)) | E(x1,x2)";
-
-TEST(ServeBatchTest, BatchedResultsAreByteIdenticalToSerialRuns) {
-  // Serial reference: the same queries one by one, cache off (the seed
-  // evaluation path — no sharing, no warmth).
-  Server serial;
-  ChunkSink serial_sink;
-  const auto semit = serial_sink.Emit();
-  serial.HandleLine("open ref k=3 cache=0", semit);
-  serial.HandleLine("domain ref 8", semit);
-  serial.HandleLine(CycleRelLine("ref", 8), semit);
-  serial.HandleLine(StrCat("eval 1 ref ", kPathQuery), semit);
-  serial.HandleLine(StrCat("eval 2 ref ", kPathOrEdgeQuery), semit);
-  serial.HandleLine(StrCat("eval 3 ref ", kTcQuery), semit);
-  serial.HandleLine("drain", semit);
-
-  // The batch: same ids, same queries, planned together.
-  Server server;
-  ChunkSink sink;
-  const auto emit = sink.Emit();
-  server.HandleLine("open s k=3", emit);
-  server.HandleLine("domain s 8", emit);
-  server.HandleLine(CycleRelLine("s", 8), emit);
-  server.HandleLine("batch s begin", emit);
-  server.HandleLine(StrCat("batch s eval 1 ", kPathQuery), emit);
-  server.HandleLine(StrCat("batch s eval 2 ", kPathOrEdgeQuery), emit);
-  server.HandleLine(StrCat("batch s eval 3 ", kTcQuery), emit);
-  server.HandleLine("batch s end", emit);
-  server.HandleLine("drain", emit);
-
-  EXPECT_NE(sink.All().find("ok batch s begin\n"), std::string::npos)
-      << sink.All();
-  EXPECT_NE(sink.All().find("ok batch s eval 1\n"), std::string::npos)
-      << sink.All();
-  // The end ack carries the plan stats; queries 1 and 2 share the
-  // two-step-path subtree, so something deduplicated.
-  EXPECT_NE(sink.All().find("ok batch s end queries=3 "), std::string::npos)
-      << sink.All();
-  EXPECT_EQ(sink.All().find("dedup=1.00"), std::string::npos) << sink.All();
-
-  for (const std::size_t id : {1u, 2u, 3u}) {
-    ASSERT_NE(serial_sink.Block(id), "") << id;
-    EXPECT_EQ(sink.Block(id), serial_sink.Block(id)) << id;
-  }
-
-  // The per-session stats line carries the batch counters.
-  server.HandleLine("stats s", emit);
-  EXPECT_NE(sink.All().find(" batch=1 batches=1 batch_queries=3 "),
-            std::string::npos)
-      << sink.All();
-}
-
-TEST(ServeBatchTest, KillSwitchDegradesToSerialWithIdenticalBytes) {
-  Server ref;
-  ChunkSink ref_sink;
-  const auto remit = ref_sink.Emit();
-  ref.HandleLine("open s k=3", remit);
-  ref.HandleLine("domain s 8", remit);
-  ref.HandleLine(CycleRelLine("s", 8), remit);
-  ref.HandleLine(StrCat("eval 1 s ", kPathQuery), remit);
-  ref.HandleLine(StrCat("eval 2 s ", kPathOrEdgeQuery), remit);
-  ref.HandleLine("drain", remit);
-
-  // batch=0 is the kill switch; memo=0 turns the session cache off (the
-  // evaluator probes it only under memo), leaving nothing to materialize
-  // into, so the planner must not run either.
-  for (const char* option : {"batch=0", "memo=0"}) {
-    Server server;
-    ChunkSink sink;
-    const auto emit = sink.Emit();
-    server.HandleLine(StrCat("open s k=3 ", option), emit);
-    server.HandleLine("domain s 8", emit);
-    server.HandleLine(CycleRelLine("s", 8), emit);
-    server.HandleLine("batch s begin", emit);
-    server.HandleLine(StrCat("batch s eval 1 ", kPathQuery), emit);
-    server.HandleLine(StrCat("batch s eval 2 ", kPathOrEdgeQuery), emit);
-    server.HandleLine("batch s end", emit);
-    server.HandleLine("drain", emit);
-
-    // Planning skipped: zero nodes, dedup 1.00 — but the queries still ran.
-    EXPECT_NE(sink.All().find("ok batch s end queries=2 nodes=0 shared=0 "
-                              "materialized=0 stages=0 dedup=1.00\n"),
-              std::string::npos)
-        << option << "\n" << sink.All();
-    for (const std::size_t id : {1u, 2u}) {
-      ASSERT_NE(ref_sink.Block(id), "") << id;
-      EXPECT_EQ(sink.Block(id), ref_sink.Block(id)) << option << " " << id;
-    }
-    if (std::string(option) == "memo=0") {
-      server.HandleLine("stats s", emit);
-      EXPECT_NE(sink.All().find(" live_bytes=0 "), std::string::npos)
-          << sink.All();
-      EXPECT_NE(sink.All().find(" cache=0 "), std::string::npos)
-          << sink.All();
-      EXPECT_NE(sink.All().find(" cache_bytes=0 cache_entries=0 "),
-                std::string::npos)
-          << sink.All();
-    }
-  }
-}
-
-TEST(ServeBatchTest, BatchProtocolErrorPaths) {
-  Server server;
-  ChunkSink sink;
-  const auto emit = sink.Emit();
-  server.HandleLine("open s k=3", emit);
-  server.HandleLine("batch s end", emit);
-  EXPECT_NE(sink.All().find("err batch s end: InvalidArgument: no batch in "
-                            "progress for session s\n"),
-            std::string::npos)
-      << sink.All();
-  server.HandleLine("batch nosuch begin", emit);
-  EXPECT_NE(sink.All().find("err batch nosuch begin:"), std::string::npos)
-      << sink.All();
-  server.HandleLine("batch s begin", emit);
-  server.HandleLine("batch s begin", emit);
-  EXPECT_NE(sink.All().find("err batch s begin: InvalidArgument: a batch is "
-                            "already in progress for session s\n"),
-            std::string::npos)
-      << sink.All();
-  server.HandleLine("batch s eval 1 (x1) E(x1,x1)", emit);
-  server.HandleLine("batch s eval 1 (x1) E(x1,x1)", emit);
-  EXPECT_NE(sink.All().find("err batch s eval 1: InvalidArgument: query id 1 "
-                            "is already in flight\n"),
-            std::string::npos)
-      << sink.All();
-  server.HandleLine("batch s frobnicate", emit);
-  EXPECT_NE(sink.All().find("err batch s: expected begin|eval|end"),
-            std::string::npos)
-      << sink.All();
-  // An unparseable query is still accepted into the batch (planning skips
-  // it) and reproduces the serial parse error as its result block.
-  server.HandleLine("batch s eval 2 (((", emit);
-  server.HandleLine("batch s end", emit);
-  server.HandleLine("drain", emit);
-  EXPECT_NE(sink.Block(2).find("result 2 error"), std::string::npos)
-      << sink.All();
-}
-
-TEST(ServeBatchTest, CancellingOneBatchMemberLeavesTheOthersIntact) {
-  Server server;
-  SessionOptions so;
-  so.num_vars = 3;
-  ASSERT_TRUE(server.Open("s", so, CycleDb(8)).ok());
-
-  struct Outcomes {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::map<std::uint64_t, EvalOutcome> by_id;
-  } outcomes;
-  auto done = [&outcomes](const EvalOutcome& o) {
-    {
-      std::lock_guard<std::mutex> lock(outcomes.mutex);
-      outcomes.by_id[o.id] = o;
-    }
-    outcomes.cv.notify_all();
-  };
-
-  ASSERT_TRUE(server.BatchBegin("s").ok());
-  ASSERT_TRUE(server.BatchAddWithId(1, "s", kPathQuery).ok());
-  ASSERT_TRUE(server.BatchAddWithId(2, "s", kPathQuery).ok());
-  ASSERT_TRUE(server.BatchAddWithId(3, "s", kPathOrEdgeQuery).ok());
-  // Batch ids are cancellable from the moment they are collected.
-  ASSERT_TRUE(server.Cancel(2, "changed my mind").ok());
-  auto stats = server.BatchEnd("s", done);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->queries, 3u);
-  {
-    std::unique_lock<std::mutex> lock(outcomes.mutex);
-    outcomes.cv.wait(lock, [&] { return outcomes.by_id.size() == 3u; });
-  }
-  server.Drain();
-
-  // The cancelled member failed alone; its shared subtree still served the
-  // survivors, whose results match an untouched serial run.
-  EXPECT_EQ(outcomes.by_id[2].status.code(), StatusCode::kCancelled);
-  ASSERT_TRUE(outcomes.by_id[1].status.ok())
-      << outcomes.by_id[1].status.ToString();
-  ASSERT_TRUE(outcomes.by_id[3].status.ok())
-      << outcomes.by_id[3].status.ToString();
-  SessionOptions ref;
-  ref.num_vars = 3;
-  ref.cross_query_cache = false;
-  ASSERT_TRUE(server.Open("ref", ref, CycleDb(8)).ok());
-  EXPECT_EQ(outcomes.by_id[1].payload,
-            server.EvalSync("ref", kPathQuery).payload);
-  EXPECT_EQ(outcomes.by_id[3].payload,
-            server.EvalSync("ref", kPathOrEdgeQuery).payload);
-}
-
-TEST(ServeBatchTest, CloseDropsAPendingBatchAndItsIds) {
-  Server server;
-  ASSERT_TRUE(server.Open("s", SessionOptions{}, CycleDb(4)).ok());
-  ASSERT_TRUE(server.BatchBegin("s").ok());
-  ASSERT_TRUE(server.BatchAddWithId(5, "s", kPathQuery).ok());
-  ASSERT_TRUE(server.Close("s").ok());
-  // The collected id is gone with the batch: cancelling it is NotFound,
-  // and reopening the session finds no stale batch in progress.
-  EXPECT_EQ(server.Cancel(5).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(server.Open("s", SessionOptions{}, CycleDb(4)).ok());
-  EXPECT_EQ(server.BatchEnd("s", [](const EvalOutcome&) {}).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ServeBatchTest, HelpListsEveryProtocolCommand) {
-  Server server;
-  ChunkSink sink;
-  server.HandleLine("help", sink.Emit());
-  const std::string all = sink.All();
-  EXPECT_EQ(all.rfind("ok help\n", 0), 0u) << all;
-  for (const char* cmd :
-       {"open ", "domain ", "rel ", "load ", "eval ", "batch ", "cancel ",
-        "close ", "cache ", "stats ", "drain", "help", "quit"}) {
-    EXPECT_NE(all.find(StrCat("\n  ", cmd)), std::string::npos) << cmd;
-  }
-  // Unknown commands point at it and echo the offending token.
-  server.HandleLine("frobnicate now", sink.Emit());
-  EXPECT_NE(sink.All().find("err unknown command \"frobnicate\"; try help\n"),
-            std::string::npos)
-      << sink.All();
 }
 
 // --- cache clear racing a running eval -------------------------------------

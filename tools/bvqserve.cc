@@ -43,21 +43,12 @@ namespace {
 
 using namespace bvq;
 
-// Extracts the query id from an "eval <id> ..." or "batch <s> eval <id> ..."
-// request so a connection can cancel its own in-flight work on disconnect.
-// Batch ids are live for cancellation from the moment they are collected.
+// Extracts the query id from an "eval <id> ..." request so a connection
+// can cancel its own in-flight work on disconnect.
 bool EvalRequestId(const std::string& line, std::size_t* id) {
   std::istringstream is(line);
   std::string cmd, tok;
-  if (!(is >> cmd)) return false;
-  if (cmd == "batch") {
-    std::string sub;
-    if (!(is >> tok) || !(is >> sub) || sub != "eval") return false;
-  } else if (cmd != "eval") {
-    return false;
-  }
-  if (!(is >> tok)) return false;
-  return ParseSizeT(tok, id);
+  return (is >> cmd >> tok) && cmd == "eval" && ParseSizeT(tok, id);
 }
 
 // Extracts the query id from the first line of a "result <id> ..." block.

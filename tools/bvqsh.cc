@@ -16,10 +16,6 @@
 //                               (default on; `clear` drops resident
 //                               entries — db mutations never need it,
 //                               relation versions invalidate by key)
-//   cache save <file>           snapshot db-resolved cache entries
-//   cache restore <file>        prewarm the cache from a snapshot
-//                               (fingerprint-gated: stale entries stay
-//                               pending and never produce answers)
 //   stats on|off                print memo/hoist counters after eval
 //   deadline <ms>               per-query wall-clock deadline (0 = none)
 //   membudget <mb>              per-query memory budget in MiB (0 = none)
@@ -82,7 +78,6 @@
 #include "db/database.h"
 #include "eval/answer_cache.h"
 #include "eval/bounded_eval.h"
-#include "eval/cache_snapshot.h"
 #include "eval/eso_eval.h"
 #include "eval/naive_eval.h"
 #include "logic/analysis.h"
@@ -361,40 +356,6 @@ bool HandleLine(ShellState& state, const std::string& line) {
     return true;
   }
   if (cmd == "cache") {
-    std::istringstream cs(rest);
-    std::string action;
-    cs >> action;
-    if (action == "save" || action == "restore") {
-      std::string path_rest;
-      std::getline(cs, path_rest);
-      const std::string path(TrimLeft(path_rest));
-      if (path.empty()) {
-        Fail(state, "cache " + action, "expected a file name");
-        return true;
-      }
-      if (action == "save") {
-        auto entries = state.answer_cache.ExportResolved(state.db);
-        Status s = SaveCacheSnapshotFile(path, entries);
-        if (!s.ok()) {
-          Fail(state, "cache save " + path, s);
-          return true;
-        }
-        std::printf("cache saved: %zu entries to %s\n", entries.size(),
-                    path.c_str());
-      } else {
-        auto loaded = LoadCacheSnapshotFile(path);
-        if (!loaded.ok()) {
-          Fail(state, "cache restore " + path, loaded.status());
-          return true;
-        }
-        const std::size_t total = loaded->size();
-        const std::size_t kept = state.answer_cache.Restore(std::move(*loaded));
-        const std::size_t live = state.answer_cache.ResolveAgainst(state.db);
-        std::printf("cache restored: %zu of %zu entries kept, %zu live\n",
-                    kept, total, live);
-      }
-      return true;
-    }
     if (rest.find("clear") != std::string::npos) {
       state.answer_cache.Clear();
       std::printf("cache cleared\n");

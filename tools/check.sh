@@ -22,11 +22,6 @@
 # remote cancellation, and a shutdown that must leak neither sessions nor
 # reserved admission bytes.
 #
-# Every tier also runs the batch-planner smoke (see batch_smoke below): an
-# 8-query overlapping batch through bvqserve must report dedup > 1 on its
-# `ok batch ... end` line and answer every query byte-identically to a
-# cache-off serial run of the same queries.
-#
 # Every tier also runs the cross-query cache smoke. The restart-prewarm
 # check (tools/cache_persist_test.sh: quit/restart, corrupted snapshot, and
 # kill -9 after a drain) runs inside each tier's ctest as
@@ -154,89 +149,6 @@ serve_smoke() {
   rm -rf "$tmp"
 }
 
-# Batch-planner smoke: 8 overlapping queries (two structural shapes built
-# around one shared path subformula, repeated) go through `batch begin /
-# eval / end` on one bvqserve session. The `ok batch ... end` summary must
-# report a dedup ratio strictly above 1 — the planner found the sharing —
-# and every per-id result block must be byte-identical to a cache-off
-# serial run of the same queries.
-batch_smoke() {
-  local bvqserve="$1/tools/bvqserve" tmp rc=0 i dedup
-  local qa='(x1,x2) exists x3 . (E(x1,x3) & E(x3,x2))'
-  local qb='(x1,x2) exists x3 . (E(x1,x3) & E(x3,x2)) | E(x1,x2)'
-  tmp=$(mktemp -d)
-  echo "== batch planner smoke ($bvqserve) =="
-  { printf 'domain 10\nrel E/2'
-    for ((i = 0; i < 10; i++)); do printf ' %d %d ;' "$i" "$(((i + 1) % 10))"; done
-    printf '\n'; } > "$tmp/cycle.bvq"
-  {
-    printf 'open b k=3\n'
-    printf 'load b %s/cycle.bvq\n' "$tmp"
-    printf 'batch b begin\n'
-    for ((i = 1; i <= 8; i++)); do
-      if (( i % 2 )); then printf 'batch b eval %d %s\n' "$i" "$qa"
-      else printf 'batch b eval %d %s\n' "$i" "$qb"; fi
-    done
-    printf 'batch b end\ndrain\nclose b\nquit\n'
-  } > "$tmp/batch.bvqserve"
-  {
-    printf 'open s k=3 cache=0\n'
-    printf 'load s %s/cycle.bvq\n' "$tmp"
-    for ((i = 1; i <= 8; i++)); do
-      if (( i % 2 )); then printf 'eval %d s %s\n' "$i" "$qa"
-      else printf 'eval %d s %s\n' "$i" "$qb"; fi
-    done
-    printf 'drain\nclose s\nquit\n'
-  } > "$tmp/serial.bvqserve"
-  "$bvqserve" "$tmp/serial.bvqserve" > "$tmp/serial.out" 2>&1 || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "batch smoke: serial reference bvqserve exited with $rc" >&2
-    cat "$tmp/serial.out" >&2; exit 1
-  fi
-  for ((i = 1; i <= 8; i++)); do
-    if ! grep -q "^result $i ok$" "$tmp/serial.out"; then
-      echo "batch smoke: serial reference query $i did not complete ok" >&2
-      cat "$tmp/serial.out" >&2; exit 1
-    fi
-  done
-  payload() {
-    awk -v id="$2" '$0 == "end " id {p=0} p {print} $0 == "result " id " ok" {p=1}' \
-        "$1"
-  }
-  "$bvqserve" "$tmp/batch.bvqserve" > "$tmp/batch.out" 2>&1 || rc=$?
-  if [[ $rc -ne 0 ]]; then
-    echo "batch smoke: bvqserve exited with $rc" >&2
-    cat "$tmp/batch.out" >&2; exit 1
-  fi
-  dedup=$(awk '/^ok batch b end /{
-      for (i = 1; i <= NF; i++)
-        if ($i ~ /^dedup=/) { sub(/^dedup=/, "", $i); print $i }
-    }' "$tmp/batch.out")
-  if [[ -z "$dedup" ]]; then
-    echo "batch smoke: no ok batch ... end summary line" >&2
-    cat "$tmp/batch.out" >&2; exit 1
-  fi
-  if ! awk -v d="$dedup" 'BEGIN { exit !(d > 1.0) }'; then
-    echo "batch smoke: dedup ratio $dedup is not > 1" >&2
-    cat "$tmp/batch.out" >&2; exit 1
-  fi
-  for ((i = 1; i <= 8; i++)); do
-    if ! grep -q "^result $i ok$" "$tmp/batch.out"; then
-      echo "batch smoke: batched query $i did not complete ok" >&2
-      cat "$tmp/batch.out" >&2; exit 1
-    fi
-    if [[ "$(payload "$tmp/batch.out" $i)" != \
-          "$(payload "$tmp/serial.out" $i)" ]]; then
-      echo "batch smoke: query $i differs from the serial run" >&2
-      diff <(payload "$tmp/serial.out" $i) \
-           <(payload "$tmp/batch.out" $i) >&2 || true
-      exit 1
-    fi
-  done
-  echo "   8-query batch dedup=$dedup, byte-identical to serial"
-  rm -rf "$tmp"
-}
-
 # Cross-query answer-cache smoke: a replayed fixpoint query must be served
 # from the session cache (nonzero cache hits in the stats line) with output
 # byte-identical to a --cross-query-cache=0 run, and a mid-session `load`
@@ -323,7 +235,7 @@ case "${1:-}" in
   --plain-only) run_tsan=0; run_asan=0 ;;
   --asan-only) run_plain=0; run_tsan=0 ;;
   --list)
-    echo "plain  build + ctest + bench/serve/batch/cache smokes"
+    echo "plain  build + ctest + bench/serve/cache smokes"
     echo "tsan   the same under -DBVQ_SANITIZE=thread, BVQ_THREADS=4"
     echo "asan   the same under -DBVQ_SANITIZE=address,undefined"
     exit 0 ;;
@@ -345,7 +257,6 @@ if [[ $run_plain -eq 1 ]]; then
       --out="$ROOT/build/BENCH_eso_smoke.json"
   resource_smoke "$ROOT/build"
   serve_smoke "$ROOT/build"
-  batch_smoke "$ROOT/build"
   cache_smoke "$ROOT/build"
 fi
 
@@ -356,7 +267,6 @@ if [[ $run_tsan -eq 1 ]]; then
   (cd "$ROOT/build-tsan" && BVQ_THREADS=4 ctest --output-on-failure -j"$(nproc)")
   BVQ_THREADS=4 resource_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 serve_smoke "$ROOT/build-tsan"
-  BVQ_THREADS=4 batch_smoke "$ROOT/build-tsan"
   BVQ_THREADS=4 cache_smoke "$ROOT/build-tsan"
 fi
 
@@ -370,7 +280,6 @@ if [[ $run_asan -eq 1 ]]; then
       --out="$ROOT/build-asan/BENCH_eso_smoke.json"
   resource_smoke "$ROOT/build-asan"
   serve_smoke "$ROOT/build-asan"
-  batch_smoke "$ROOT/build-asan"
   cache_smoke "$ROOT/build-asan"
 fi
 
